@@ -1,5 +1,6 @@
-// Shared helpers for the figure-reproduction benches: tiny argument
-// parsing (--quick / --full / --seed N), table printing.
+// Shared helpers for the figure-reproduction benches: one argument parser
+// (--quick / --full / --seed N / --jobs N / --metrics-out, plus the
+// scaling benches' --json-out / --build-jobs / --xl), table printing.
 //
 // Figure benches are plain executables (not google-benchmark binaries):
 // each one runs a simulation campaign and prints the same rows/series the
@@ -7,10 +8,13 @@
 // regenerates the whole evaluation section.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -29,25 +33,39 @@ struct BenchArgs {
   /// When non-empty, the bench writes a MetricsRegistry JSON snapshot of
   /// the campaign's cumulative counters/gauges/histograms to this path.
   std::string metrics_out;
+  /// Wall-clock JSON artifact path (--json-out) of the benches that write
+  /// one; defaults to the bench's own BENCH_<name>.json.
+  std::string json_out;
+  /// Worker threads for world construction (--build-jobs, floor 1);
+  /// output is byte-identical at any value.
+  std::size_t build_jobs = 1;
+  /// bench_scale's half-million-peer estimator tier (--xl).
+  bool xl = false;
 };
 
-inline BenchArgs parse_args(int argc, char** argv) {
+inline BenchArgs parse_args(int argc, char** argv,
+                            std::string default_json_out = "") {
   BenchArgs args;
+  args.json_out = std::move(default_json_out);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) args.scale = 0;
-    if (std::strcmp(argv[i], "--full") == 0) args.scale = 2;
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.seed = std::strtoull(argv[i + 1], nullptr, 10);
-      ++i;
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      args.jobs = std::strtoull(argv[i + 1], nullptr, 10);
-      if (args.jobs == 0) args.jobs = 1;
-      ++i;
-    }
-    if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      args.metrics_out = argv[i + 1];
-      ++i;
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      args.scale = 0;
+    } else if (std::strcmp(argv[i], "--full") == 0) {
+      args.scale = 2;
+    } else if (std::strcmp(argv[i], "--xl") == 0) {
+      args.xl = true;
+    } else if (std::strcmp(argv[i], "--seed") == 0 && has_value) {
+      args.seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && has_value) {
+      args.jobs =
+          std::max<std::size_t>(1, std::strtoull(argv[++i], nullptr, 10));
+    } else if (std::strcmp(argv[i], "--build-jobs") == 0 && has_value) {
+      args.build_jobs = std::size_t(std::max(1, std::atoi(argv[++i])));
+    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && has_value) {
+      args.metrics_out = argv[++i];
+    } else if (std::strcmp(argv[i], "--json-out") == 0 && has_value) {
+      args.json_out = argv[++i];
     }
   }
   return args;

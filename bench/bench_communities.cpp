@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,18 +126,7 @@ Row run_row(workload::Scenario& s, const overlay::CommunityMap* map,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
-  std::string json_out = "BENCH_communities.json";
-  std::size_t build_jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      json_out = argv[i + 1];
-      ++i;
-    } else if (std::strcmp(argv[i], "--build-jobs") == 0 && i + 1 < argc) {
-      build_jobs = std::size_t(std::max(1, std::atoi(argv[i + 1])));
-      ++i;
-    }
-  }
+  const BenchArgs args = parse_args(argc, argv, "BENCH_communities.json");
 
   const std::vector<std::size_t> peer_counts =
       args.scale == 0 ? std::vector<std::size_t>{1000}
@@ -156,10 +144,10 @@ int main(int argc, char** argv) {
               "two-tier beta=%d, %zu requests per row, seed=%llu, jobs=%zu, "
               "build-jobs=%zu\n",
               flat_beta, twotier_beta, requests_per_row,
-              (unsigned long long)args.seed, args.jobs, build_jobs);
+              (unsigned long long)args.seed, args.jobs, args.build_jobs);
   std::printf("(community maps are built in-bench on one flat world per "
               "cell; wall-clock columns are written to %s)\n\n",
-              json_out.c_str());
+              args.json_out.c_str());
 
   std::vector<std::vector<Row>> cells(peer_counts.size());
 
@@ -171,7 +159,7 @@ int main(int argc, char** argv) {
     config.peers = peers;
     config.router_cache_limit = 8;
     config.route_cache_limit = 64;
-    config.build_jobs = build_jobs;
+    config.build_jobs = args.build_jobs;
 
     const auto build_t0 = std::chrono::steady_clock::now();
     auto s = workload::build_sim_scenario(config);
@@ -196,9 +184,9 @@ int main(int argc, char** argv) {
     for (std::size_t count : community_counts) {
       const auto comm_t0 = std::chrono::steady_clock::now();
       const auto map = overlay::CommunityMap::build(
-          s->deployment->overlay(), count, build_jobs);
+          s->deployment->overlay(), count, args.build_jobs);
       const auto index =
-          discovery::CommunityIndex::build(metas, map, build_jobs);
+          discovery::CommunityIndex::build(metas, map, args.build_jobs);
       const double comm_ms = wall_ms_since(comm_t0);
 
       const int beta = count <= 1 ? flat_beta : twotier_beta;
@@ -239,16 +227,16 @@ int main(int argc, char** argv) {
       "for a much smaller fine budget, cutting probe messages while the "
       "pruned-community discovery keeps success flat.\n");
 
-  FILE* jf = std::fopen(json_out.c_str(), "w");
+  FILE* jf = std::fopen(args.json_out.c_str(), "w");
   if (jf == nullptr) {
     std::fprintf(stderr, "communities: failed to write %s\n",
-                 json_out.c_str());
+                 args.json_out.c_str());
     return 1;
   }
   std::fprintf(jf,
                "{\n  \"bench\": \"communities\",\n  \"seed\": %llu,\n"
                "  \"jobs\": %zu,\n  \"build_jobs\": %zu,\n  \"rows\": [\n",
-               (unsigned long long)args.seed, args.jobs, build_jobs);
+               (unsigned long long)args.seed, args.jobs, args.build_jobs);
   bool first = true;
   for (const auto& cell : cells) {
     for (const Row& row : cell) {
@@ -276,7 +264,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(jf, "\n  ]\n}\n");
   std::fclose(jf);
-  std::printf("communities: wrote %s\n", json_out.c_str());
+  std::printf("communities: wrote %s\n", args.json_out.c_str());
 
   // Self-assert 1: attaching a single-community map must not change a
   // single counter versus the flat baseline (same beta, same stream).

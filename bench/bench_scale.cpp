@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -140,44 +139,31 @@ XlBudget xl_budget_for(std::size_t max_peers, std::size_t scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
-  std::string json_out = "BENCH_scale.json";
-  bool xl = false;
-  std::size_t build_jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      json_out = argv[i + 1];
-      ++i;
-    } else if (std::strcmp(argv[i], "--xl") == 0) {
-      xl = true;
-    } else if (std::strcmp(argv[i], "--build-jobs") == 0 && i + 1 < argc) {
-      build_jobs = std::max(1, std::atoi(argv[i + 1]));
-      ++i;
-    }
-  }
+  const BenchArgs args = parse_args(argc, argv, "BENCH_scale.json");
 
   const std::vector<std::size_t> peer_counts =
-      xl ? (args.scale == 2 ? std::vector<std::size_t>{500000, 1000000}
-                            : std::vector<std::size_t>{500000})
+      args.xl ? (args.scale == 2 ? std::vector<std::size_t>{500000, 1000000}
+                                 : std::vector<std::size_t>{500000})
       : args.scale == 0 ? std::vector<std::size_t>{1000, 2000}
       : args.scale == 2 ? std::vector<std::size_t>{1000, 5000, 10000, 20000,
                                                    50000}
                         : std::vector<std::size_t>{1000, 5000, 10000};
   const std::vector<std::size_t> depths =
-      xl                ? (args.scale == 0 ? std::vector<std::size_t>{2}
+      args.xl           ? (args.scale == 0 ? std::vector<std::size_t>{2}
                                            : std::vector<std::size_t>{2, 4})
       : args.scale == 0 ? std::vector<std::size_t>{2, 4, 6}
                         : std::vector<std::size_t>{2, 4, 6, 8};
-  const std::size_t requests_per_row = xl ? 8 : args.scale == 0 ? 20 : 30;
+  const std::size_t requests_per_row =
+      args.xl ? 8 : args.scale == 0 ? 20 : 30;
   const auto sweep_t0 = std::chrono::steady_clock::now();
 
   std::printf("Scaling sweep: peers x request depth, %zu requests per row, "
               "seed=%llu, jobs=%zu, build-jobs=%zu\n",
               requests_per_row, (unsigned long long)args.seed, args.jobs,
-              build_jobs);
+              args.build_jobs);
   std::printf("(full tier sweeps to 50k peers and takes tens of minutes; "
               "wall-clock columns are written to %s)\n\n",
-              json_out.c_str());
+              args.json_out.c_str());
 
   std::vector<std::vector<Row>> cells(peer_counts.size());
   std::vector<obs::MetricsRegistry> cell_metrics(peer_counts.size());
@@ -194,10 +180,10 @@ int main(int argc, char** argv) {
     // Cap the only O(N²) state. The IP-router cap keeps the overlay
     // build at one resident tree per in-flight source; the overlay cap
     // bounds route memory during probing. Results are unaffected.
-    config.router_cache_limit = xl ? 4 : 8;
-    config.route_cache_limit = xl ? 16 : 64;
-    config.build_jobs = build_jobs;
-    if (xl) {
+    config.router_cache_limit = args.xl ? 4 : 8;
+    config.route_cache_limit = args.xl ? 16 : 64;
+    config.build_jobs = args.build_jobs;
+    if (args.xl) {
       // Million-peer worlds: landmark-estimated construction and bounded
       // path materialization (§5h). Exact routes stay exact — only their
       // caching is capped.
@@ -228,7 +214,7 @@ int main(int argc, char** argv) {
       profile.min_functions = depth;
       profile.max_functions = depth;
       profile.dag_probability = 0.0;  // linear chains: depth == functions
-      if (xl) {
+      if (args.xl) {
         // Estimated worlds carry through-landmark link delays (admissible
         // but stretched vs the exact IP path) and a far larger diameter;
         // the paper-scale 80 ms/hop budget rejects nearly everything at
@@ -276,7 +262,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> columns{"peers", "depth", "req", "success",
                                    "probes", "messages", "shared_nodes",
                                    "copied_bytes", "arena_peak"};
-  if (xl) {
+  if (args.xl) {
     columns.insert(columns.end(),
                    {"est_err_mean", "est_err_max", "bound_violations"});
   }
@@ -291,7 +277,7 @@ int main(int argc, char** argv) {
           std::to_string(row.prefix_nodes_shared),
           std::to_string(row.probe_bytes_copied),
           std::to_string(row.arena_peak_segments)};
-      if (xl) {
+      if (args.xl) {
         vals.push_back(fmt(row.est_err_mean, 3));
         vals.push_back(fmt(row.est_err_max, 3));
         vals.push_back(std::to_string(row.est_bound_violations));
@@ -306,9 +292,10 @@ int main(int argc, char** argv) {
       "constant in depth (shared prefixes); the arena peak tracks "
       "beta x depth, not peers.\n");
 
-  FILE* jf = std::fopen(json_out.c_str(), "w");
+  FILE* jf = std::fopen(args.json_out.c_str(), "w");
   if (jf == nullptr) {
-    std::fprintf(stderr, "scale: failed to write %s\n", json_out.c_str());
+    std::fprintf(stderr, "scale: failed to write %s\n",
+                 args.json_out.c_str());
     return 1;
   }
   const std::uint64_t rss = util::vm_hwm_bytes();
@@ -317,11 +304,11 @@ int main(int argc, char** argv) {
   std::fprintf(jf, "{\n  \"bench\": \"scale\",\n  \"seed\": %llu,\n"
                "  \"jobs\": %zu,\n  \"build_jobs\": %zu,\n"
                "  \"path_segment_bytes\": %zu,\n",
-               (unsigned long long)args.seed, args.jobs, build_jobs,
+               (unsigned long long)args.seed, args.jobs, args.build_jobs,
                sizeof(core::PathSegment));
   std::fprintf(jf, "  \"vm_hwm_bytes\": %llu,\n  \"sweep_wall_ms\": %.1f,\n",
                (unsigned long long)rss, sweep_wall_ms);
-  if (xl) {
+  if (args.xl) {
     std::fprintf(jf,
                  "  \"xl_budget\": {\"rss_bytes\": %llu, \"wall_ms\": %.1f},\n",
                  (unsigned long long)budget.rss_bytes, budget.wall_ms);
@@ -371,9 +358,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(jf, "\n  ]\n}\n");
   std::fclose(jf);
-  std::printf("scale: wrote %s\n", json_out.c_str());
+  std::printf("scale: wrote %s\n", args.json_out.c_str());
 
-  if (xl) {
+  if (args.xl) {
     bool violations = false;
     for (const auto& cell : cells) {
       for (const Row& row : cell) {

@@ -38,7 +38,6 @@
 // after quiesce the allocator holds zero grants and zero holds.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -286,14 +285,7 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t cell_index,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
-  std::string json_out = "BENCH_serve.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      json_out = argv[i + 1];
-      ++i;
-    }
-  }
+  const BenchArgs args = parse_args(argc, argv, "BENCH_serve.json");
 
   const ServeParams params = params_for(args.scale);
   const std::vector<CellSpec> cells{
@@ -313,7 +305,7 @@ int main(int argc, char** argv) {
               "%.2f, queue %zu; closed loop: AIMD targets %.0f ms / %.0f%% "
               "cfail, retry x3 backoff; wall-clock goes to %s)\n\n",
               kHighWaterUtilization, kQueueCapacity, kTargetSetupMs,
-              100.0 * kTargetFailureRate, json_out.c_str());
+              100.0 * kTargetFailureRate, args.json_out.c_str());
 
   std::vector<CellResult> results(cells.size());
   std::vector<obs::MetricsRegistry> cell_metrics(cells.size());
@@ -458,9 +450,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  FILE* jf = std::fopen(json_out.c_str(), "w");
+  FILE* jf = std::fopen(args.json_out.c_str(), "w");
   if (jf == nullptr) {
-    std::fprintf(stderr, "serve: failed to write %s\n", json_out.c_str());
+    std::fprintf(stderr, "serve: failed to write %s\n",
+                 args.json_out.c_str());
     return 1;
   }
   std::fprintf(jf,
@@ -553,7 +546,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(jf, "  ]\n}\n");
   std::fclose(jf);
-  std::printf("serve: wrote %s\n", json_out.c_str());
+  std::printf("serve: wrote %s\n", args.json_out.c_str());
 
   obs::MetricsRegistry metrics;
   if (with_metrics) {

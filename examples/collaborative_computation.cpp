@@ -77,9 +77,9 @@ int main() {
     std::printf("composition failed\n");
     return 1;
   }
-  std::printf("BCP merged %zu candidate graphs, %zu qualified\n",
-              composed.stats.candidates_merged,
-              composed.stats.qualified_found);
+  std::printf("BCP merged %llu candidate graphs, %llu qualified\n",
+              (unsigned long long)composed.stats.candidates_merged,
+              (unsigned long long)composed.stats.qualified_found);
   std::printf("selected experiment mapping (psi=%.3f, worst-branch delay "
               "%.0f ms):\n", composed.best.psi_cost,
               composed.best.qos.delay_ms());

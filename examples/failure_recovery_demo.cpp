@@ -60,8 +60,8 @@ int main() {
     std::printf("initial composition failed\n");
     return 1;
   }
-  std::printf("initial composition: %zu qualified graphs found\n",
-              composed.stats.qualified_found);
+  std::printf("initial composition: %llu qualified graphs found\n",
+              (unsigned long long)composed.stats.qualified_found);
   const core::SessionId id = sessions.establish(request, std::move(composed));
   if (id == core::kInvalidSession) {
     std::printf("establish failed\n");

@@ -72,12 +72,13 @@ int main(int argc, char** argv) {
     std::printf("no qualified composition found\n");
     return 1;
   }
-  std::printf("\ncomposed! probes=%llu messages=%llu candidates=%zu "
-              "qualified=%zu setup=%.0f ms\n",
+  std::printf("\ncomposed! probes=%llu messages=%llu candidates=%llu "
+              "qualified=%llu setup=%.0f ms\n",
               (unsigned long long)composed.stats.probes_spawned,
               (unsigned long long)composed.stats.probe_messages,
-              composed.stats.candidates_merged,
-              composed.stats.qualified_found, composed.stats.setup_time_ms);
+              (unsigned long long)composed.stats.candidates_merged,
+              (unsigned long long)composed.stats.qualified_found,
+              composed.stats.setup_time_ms);
   std::printf("selected service graph (psi=%.3f, delay=%.0f ms, "
               "fail-prob=%.3f):\n", composed.best.psi_cost,
               composed.best.qos.delay_ms(), composed.best.failure_prob);

@@ -89,9 +89,9 @@ int run_spec(workload::Scenario& s, core::BcpEngine& bcp, const char* path) {
     std::printf("no qualified composition for the spec\n");
     return 1;
   }
-  std::printf("composed '%s' spec: psi=%.3f delay=%.0f ms, %zu qualified\n",
+  std::printf("composed '%s' spec: psi=%.3f delay=%.0f ms, %llu qualified\n",
               path, r.best.psi_cost, r.best.qos.delay_ms(),
-              r.stats.qualified_found);
+              (unsigned long long)r.stats.qualified_found);
   for (service::FnNode n = 0; n < r.best.pattern.node_count(); ++n) {
     std::printf("  %-16s -> peer %u\n",
                 parsed->function_names[n].c_str(), r.best.mapping[n].host);

@@ -52,9 +52,9 @@ int main() {
     return 1;
   }
 
-  std::printf("composed streaming path (end-to-end %0.f ms, %zu candidate "
+  std::printf("composed streaming path (end-to-end %0.f ms, %llu candidate "
               "graphs merged):\n", composed.best.qos.delay_ms(),
-              composed.stats.candidates_merged);
+              (unsigned long long)composed.stats.candidates_merged);
   std::vector<std::string> node_functions;
   for (service::FnNode n = 0; n < composed.best.pattern.node_count(); ++n) {
     const auto& m = composed.best.mapping[n];

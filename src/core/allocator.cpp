@@ -8,45 +8,36 @@
 
 namespace spider::core {
 
-namespace {
-
-/// Lazily binds and bumps a counter (first event registers it), so runs
-/// that never trigger the event export unchanged metrics JSON.
-void bump(obs::MetricsRegistry* registry, obs::Counter*& counter,
-          const char* name, std::uint64_t delta = 1) {
-  if (registry == nullptr || delta == 0) return;
-  if (counter == nullptr) counter = &registry->counter(name);
-  counter->inc(delta);
-}
-
-}  // namespace
-
 void AllocationManager::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  // Lease and admission counters rebind lazily (see bump()); they only
-  // appear in exports once such an event actually happens.
-  m_lease_renewals_ = m_lease_expirations_ = m_lease_reclaimed_kbps_ = nullptr;
-  m_admission_rejects_ = m_admission_queued_ = m_admission_queue_wait_ms_ =
-      nullptr;
-  m_admission_queue_depth_ = m_admission_mark_ = nullptr;
-  m_admission_queue_wait_hist_ = nullptr;
-  if (metrics == nullptr) {
-    m_reserved_ = m_reserve_failures_ = m_confirmed_ = m_confirm_failures_ =
-        m_released_ = m_expired_ = m_direct_grants_ =
-            m_direct_grant_failures_ = nullptr;
-    m_holds_outstanding_ = m_grants_outstanding_ = nullptr;
-    return;
-  }
-  m_reserved_ = &metrics->counter("alloc.holds_reserved");
-  m_reserve_failures_ = &metrics->counter("alloc.reserve_failures");
-  m_confirmed_ = &metrics->counter("alloc.holds_confirmed");
-  m_confirm_failures_ = &metrics->counter("alloc.confirm_failures");
-  m_released_ = &metrics->counter("alloc.holds_released");
-  m_expired_ = &metrics->counter("alloc.holds_expired");
-  m_direct_grants_ = &metrics->counter("alloc.direct_grants");
-  m_direct_grant_failures_ = &metrics->counter("alloc.direct_grant_failures");
-  m_holds_outstanding_ = &metrics->gauge("alloc.holds_outstanding");
-  m_grants_outstanding_ = &metrics->gauge("alloc.grants_outstanding");
+  m_reserved_ = obs::counter_handle(metrics, "alloc.holds_reserved");
+  m_reserve_failures_ = obs::counter_handle(metrics, "alloc.reserve_failures");
+  m_confirmed_ = obs::counter_handle(metrics, "alloc.holds_confirmed");
+  m_confirm_failures_ = obs::counter_handle(metrics, "alloc.confirm_failures");
+  m_released_ = obs::counter_handle(metrics, "alloc.holds_released");
+  m_expired_ = obs::counter_handle(metrics, "alloc.holds_expired");
+  m_direct_grants_ = obs::counter_handle(metrics, "alloc.direct_grants");
+  m_direct_grant_failures_ =
+      obs::counter_handle(metrics, "alloc.direct_grant_failures");
+  m_holds_outstanding_ = obs::gauge_handle(metrics, "alloc.holds_outstanding");
+  m_grants_outstanding_ =
+      obs::gauge_handle(metrics, "alloc.grants_outstanding");
+  m_lease_renewals_ = obs::counter_handle(metrics, "alloc.lease_renewals");
+  m_lease_expirations_ =
+      obs::counter_handle(metrics, "alloc.lease_expirations");
+  m_lease_reclaimed_kbps_ =
+      obs::counter_handle(metrics, "alloc.lease_reclaimed_kbps");
+  m_admission_rejects_ =
+      obs::counter_handle(metrics, "alloc.admission_rejects");
+  m_admission_queued_ = obs::counter_handle(metrics, "alloc.admission_queued");
+  m_admission_queue_wait_ms_ =
+      obs::counter_handle(metrics, "alloc.admission_queue_wait_ms");
+  m_admission_queue_wait_hist_ = obs::histogram_handle(
+      metrics, "alloc.admission_queue_wait",
+      {5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
+       10000.0, 20000.0});
+  m_admission_queue_depth_ =
+      obs::gauge_handle(metrics, "alloc.admission_queue_depth");
+  m_admission_mark_ = obs::gauge_handle(metrics, "alloc.admission_mark");
   update_outstanding_gauges();
 }
 
@@ -275,19 +266,15 @@ AllocationManager::AdmissionDecision AllocationManager::admit_setup(
     ++state.queued;
     ++admission_queue_depth_;
     ++admission_queued_count_;
-    bump(metrics_, m_admission_queued_, "alloc.admission_queued");
-    if (metrics_ != nullptr) {
-      if (m_admission_queue_depth_ == nullptr) {
-        m_admission_queue_depth_ =
-            &metrics_->gauge("alloc.admission_queue_depth");
-      }
+    if (m_admission_queued_ != nullptr) {
+      m_admission_queued_->inc();
       m_admission_queue_depth_->set(double(admission_queue_depth_));
     }
     return AdmissionDecision::kQueue;
   }
   ++state.rejects;
   ++admission_rejects_;
-  bump(metrics_, m_admission_rejects_, "alloc.admission_rejects");
+  if (m_admission_rejects_ != nullptr) m_admission_rejects_->inc();
   return AdmissionDecision::kReject;
 }
 
@@ -297,18 +284,9 @@ void AllocationManager::admission_dequeued(double wait_ms, std::size_t cls) {
   --class_state_[cls].depth;
   --admission_queue_depth_;
   admission_queue_wait_ms_ += wait_ms;
-  bump(metrics_, m_admission_queue_wait_ms_, "alloc.admission_queue_wait_ms",
-       std::uint64_t(std::llround(wait_ms)));
-  if (metrics_ != nullptr) {
-    if (m_admission_queue_wait_hist_ == nullptr) {
-      m_admission_queue_wait_hist_ = &metrics_->histogram(
-          "alloc.admission_queue_wait",
-          {5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
-           10000.0, 20000.0});
-    }
+  if (m_admission_queue_wait_ms_ != nullptr) {
+    m_admission_queue_wait_ms_->inc(std::uint64_t(std::llround(wait_ms)));
     m_admission_queue_wait_hist_->observe(wait_ms);
-  }
-  if (m_admission_queue_depth_ != nullptr) {
     m_admission_queue_depth_->set(double(admission_queue_depth_));
   }
 }
@@ -391,12 +369,7 @@ void AllocationManager::admission_controller_tick() {
   }
   window_attempts_ = window_failures_ = window_setup_count_ = 0;
   window_setup_sum_ms_ = 0.0;
-  if (metrics_ != nullptr) {
-    if (m_admission_mark_ == nullptr) {
-      m_admission_mark_ = &metrics_->gauge("alloc.admission_mark");
-    }
-    m_admission_mark_->set(admission_mark_);
-  }
+  if (m_admission_mark_ != nullptr) m_admission_mark_->set(admission_mark_);
 }
 
 void AllocationManager::stamp_lease(SessionId session) {
@@ -410,7 +383,7 @@ void AllocationManager::renew_session(SessionId session) {
   if (it == lease_renew_by_.end()) return;
   it->second = sim_->now() + lease_ttl_ms_;
   ++lease_renewals_;
-  bump(metrics_, m_lease_renewals_, "alloc.lease_renewals");
+  if (m_lease_renewals_ != nullptr) m_lease_renewals_->inc();
 }
 
 std::optional<sim::Time> AllocationManager::lease_renew_by(
@@ -427,9 +400,10 @@ void AllocationManager::count_lease_reclaim(const std::vector<Grant>& grants) {
   }
   lease_reclaimed_kbps_ += kbps;
   ++lease_expirations_;
-  bump(metrics_, m_lease_expirations_, "alloc.lease_expirations");
-  bump(metrics_, m_lease_reclaimed_kbps_, "alloc.lease_reclaimed_kbps",
-       std::uint64_t(std::llround(kbps)));
+  if (m_lease_expirations_ != nullptr) {
+    m_lease_expirations_->inc();
+    m_lease_reclaimed_kbps_->inc(std::uint64_t(std::llround(kbps)));
+  }
 }
 
 std::size_t AllocationManager::reclaim_expired_leases() {

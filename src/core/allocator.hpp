@@ -336,10 +336,11 @@ class AllocationManager : public AvailabilityView {
   /// tests (a partial purge regression would make it positive).
   std::size_t dangling_soft_entries() const;
 
-  /// Attaches a metrics registry (null detaches). Publishes cumulative
-  /// "alloc.*" counters (reserve/confirm/release/expire outcomes) and
-  /// outstanding-hold/grant gauges. Costs one null check per event when
-  /// detached.
+  /// Attaches a metrics registry (null detaches). Registers every "alloc.*"
+  /// instrument up front: hold reserve/confirm/release/expire outcomes,
+  /// lease and admission counters, the queue-wait histogram, and the
+  /// outstanding-hold/grant, queue-depth and admission-mark gauges. Costs
+  /// one null check per event when detached.
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
@@ -433,8 +434,8 @@ class AllocationManager : public AvailabilityView {
   std::uint64_t lease_expirations_ = 0;
   double lease_reclaimed_kbps_ = 0.0;
 
-  // Observability (all null when no registry is attached).
-  obs::MetricsRegistry* metrics_ = nullptr;
+  // Observability (all null when no registry is attached; every handle
+  // is registered by set_metrics).
   obs::Counter* m_reserved_ = nullptr;
   obs::Counter* m_reserve_failures_ = nullptr;
   obs::Counter* m_confirmed_ = nullptr;
@@ -445,18 +446,14 @@ class AllocationManager : public AvailabilityView {
   obs::Counter* m_direct_grant_failures_ = nullptr;
   obs::Gauge* m_holds_outstanding_ = nullptr;
   obs::Gauge* m_grants_outstanding_ = nullptr;
-  // Lease counters bind lazily (first event), so runs with leasing off
-  // export exactly the same metrics JSON as before leases existed.
   obs::Counter* m_lease_renewals_ = nullptr;
   obs::Counter* m_lease_expirations_ = nullptr;
   obs::Counter* m_lease_reclaimed_kbps_ = nullptr;
-  // Admission counters bind lazily too: runs with admission off (or that
-  // never saturate) export exactly the same metrics JSON as before.
   obs::Counter* m_admission_rejects_ = nullptr;
   obs::Counter* m_admission_queued_ = nullptr;
   obs::Counter* m_admission_queue_wait_ms_ = nullptr;
-  obs::Gauge* m_admission_queue_depth_ = nullptr;
   obs::Histogram* m_admission_queue_wait_hist_ = nullptr;
+  obs::Gauge* m_admission_queue_depth_ = nullptr;
   obs::Gauge* m_admission_mark_ = nullptr;
 };
 

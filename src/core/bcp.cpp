@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,8 +30,8 @@ namespace {
 /// metric's noise/jitter terms are derived from a per-request salt and
 /// the (observer peer, candidate) pair, NOT from a shared RNG stream:
 /// an estimate error is a property of who measures whom, and hashing
-/// makes composition results independent of probe processing order (the
-/// synchronous and message-level modes decide identically).
+/// makes composition results independent of the order probes are
+/// processed in.
 double unit_hash(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -80,8 +79,8 @@ struct BcpEngine::Probe {
   int budget = 1;
   /// Deterministic delivery-sampling key. Derived from the request salt
   /// and the probe's (pattern, branch, chosen-component) path — NOT from
-  /// processing order — so fault outcomes are identical between the
-  /// synchronous and message-level modes.
+  /// processing order — so fault outcomes do not depend on the order
+  /// probes are processed in.
   std::uint64_t fault_key = 0;
   /// Chosen prefix of the branch: component, per-hop holds and leg timing
   /// live in immutable shared PathSegments (probe_path.hpp), so copying a
@@ -99,16 +98,15 @@ struct BcpEngine::DiscoveryEntry {
   double time_ms = 0.0;
 };
 
-/// Everything one in-flight composition owns. The synchronous path keeps
-/// it on the stack; the message-level path keeps it alive on the heap
-/// until the last event fires.
+/// Everything one in-flight composition owns (on compose()'s stack).
+/// Decisions read only this state and hashed per-request keys, never the
+/// order probes are processed in.
 struct BcpEngine::ComposeState {
   /// Backs every probe's prefix chain for this request. Declared first:
-  /// members below (seeds, arrived, queued probes in the drivers) hold
+  /// members below (seeds, arrived) and compose()'s probe queue hold
   /// PathRefs into it and must be destroyed before it.
   PathArena arena;
   service::CompositeRequest request;
-  Rng* rng = nullptr;
   std::uint64_t noise_salt = 0;  ///< seeds the hashed metric noise/jitter
   ComposeResult result;
   sim::Time hold_expiry = 0.0;
@@ -341,7 +339,6 @@ bool BcpEngine::init_state(ComposeState& state,
   if (!ov.alive(request.source) || !ov.alive(request.dest)) return false;
 
   state.request = request;
-  state.rng = &rng;
   state.noise_salt = rng();  // one draw per request; see unit_hash
   state.hold_expiry = sim_->now() + config_.probe_timeout_ms;
   state.own_view.base = alloc_;
@@ -418,7 +415,6 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
   auto& ov = deployment_->overlay();
   ComposeStats& stats = state.result.stats;
   const service::CompositeRequest& request = state.request;
-  (void)state.rng;  // metric noise is hashed, not drawn (see unit_hash)
   const auto& branch = state.branches[probe.pattern_idx][probe.branch_idx];
   const auto& pattern = state.patterns[probe.pattern_idx];
 
@@ -808,7 +804,7 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
 
     // Every skip is behind us: extend the prefix by one segment. The
     // segment is written (holds attached) before the child is handed to
-    // the driver; from then on it is immutable and shared.
+    // the queue; from then on it is immutable and shared.
     child.prefix =
         config_.debug_clone_prefixes
             ? state.arena.clone_append(probe.prefix.get(), cand, leg_delay,
@@ -1100,66 +1096,33 @@ void BcpEngine::finalize(ComposeState& state) {
   flush_metrics(stats, result.success);
 }
 
+void BcpEngine::set_observability(obs::MetricsRegistry* metrics,
+                                  obs::ProbeTrace* trace) {
+  metrics_ = metrics;
+  trace_ = trace;
+  for (std::size_t i = 0; i < m_counters_.size(); ++i) {
+    m_counters_[i] = obs::counter_handle(metrics, kComposeCounters[i].metric);
+  }
+  m_requests_ = obs::counter_handle(metrics, "bcp.requests");
+  m_success_ = obs::counter_handle(metrics, "bcp.compose_success");
+  m_failure_ = obs::counter_handle(metrics, "bcp.compose_failure");
+  const std::vector<double> setup_bounds_ms = {
+      1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000};
+  m_setup_time_ =
+      obs::histogram_handle(metrics, "bcp.setup_time_ms", setup_bounds_ms);
+  m_probing_time_ =
+      obs::histogram_handle(metrics, "bcp.probing_time_ms", setup_bounds_ms);
+}
+
 void BcpEngine::flush_metrics(const ComposeStats& stats, bool success) {
   if (metrics_ == nullptr) return;
-  obs::MetricsRegistry& m = *metrics_;
-  m.counter("bcp.requests").inc();
-  m.counter(success ? "bcp.compose_success" : "bcp.compose_failure").inc();
-  m.counter("bcp.probes_spawned").inc(stats.probes_spawned);
-  m.counter("bcp.probes_arrived").inc(stats.probes_arrived);
-  m.counter("bcp.probes_forwarded").inc(stats.probes_forwarded);
-  m.counter("bcp.probes_dropped_qos").inc(stats.probes_dropped_qos);
-  m.counter("bcp.probes_dropped_resources")
-      .inc(stats.probes_dropped_resources);
-  m.counter("bcp.probes_dropped_timeout").inc(stats.probes_dropped_timeout);
-  m.counter("bcp.candidates_skipped_route").inc(stats.candidates_skipped_route);
-  m.counter("bcp.candidates_skipped_timeout")
-      .inc(stats.candidates_skipped_timeout);
-  m.counter("bcp.candidates_skipped_qos").inc(stats.candidates_skipped_qos);
-  m.counter("bcp.candidates_skipped_resources")
-      .inc(stats.candidates_skipped_resources);
-  // Unreliable-delivery counters (stay zero without a fault model; the
-  // per-hop retx timer firings live under the cross-layer "probe.*"
-  // namespace shared with session liveness probing).
-  if (stats.probes_dropped_lost > 0) {
-    m.counter("bcp.probes_dropped_lost").inc(stats.probes_dropped_lost);
+  m_requests_->inc();
+  (success ? m_success_ : m_failure_)->inc();
+  for (std::size_t i = 0; i < m_counters_.size(); ++i) {
+    m_counters_[i]->inc(stats.*kComposeCounters[i].field);
   }
-  if (stats.candidates_skipped_lost > 0) {
-    m.counter("bcp.candidates_skipped_lost").inc(stats.candidates_skipped_lost);
-  }
-  if (stats.probe_retransmits > 0) {
-    m.counter("bcp.retransmit").inc(stats.probe_retransmits);
-  }
-  if (stats.probe_hop_timeouts > 0) {
-    m.counter("probe.timeout").inc(stats.probe_hop_timeouts);
-  }
-  if (stats.probe_messages_lost > 0) {
-    m.counter("bcp.probe_messages_lost").inc(stats.probe_messages_lost);
-  }
-  if (stats.setup_acks_lost > 0) {
-    m.counter("bcp.setup_ack_lost").inc(stats.setup_acks_lost);
-  }
-  m.counter("bcp.holds_acquired").inc(stats.holds_acquired);
-  m.counter("bcp.holds_reused").inc(stats.holds_reused);
-  m.counter("bcp.probe_bytes_copied").inc(stats.probe_bytes_copied);
-  m.counter("bcp.prefix_nodes_shared").inc(stats.prefix_nodes_shared);
-  // Two-tier counters (lazily registered so flat runs' metric exports
-  // stay byte-identical to the pre-community builds).
-  if (stats.coarse_probes > 0) {
-    m.counter("bcp.coarse_probes").inc(stats.coarse_probes);
-  }
-  if (stats.communities_pruned > 0) {
-    m.counter("bcp.communities_pruned").inc(stats.communities_pruned);
-  }
-  m.counter("bcp.probe_messages").inc(stats.probe_messages);
-  m.counter("bcp.discovery_messages").inc(stats.discovery_messages);
-  m.counter("bcp.candidates_merged").inc(stats.candidates_merged);
-  m.counter("bcp.qualified_graphs").inc(stats.qualified_found);
-  static const std::vector<double> kSetupBoundsMs = {
-      1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000};
-  m.histogram("bcp.setup_time_ms", kSetupBoundsMs).observe(stats.setup_time_ms);
-  m.histogram("bcp.probing_time_ms", kSetupBoundsMs)
-      .observe(stats.probing_time_ms);
+  m_setup_time_->observe(stats.setup_time_ms);
+  m_probing_time_->observe(stats.probing_time_ms);
 }
 
 ComposeResult BcpEngine::compose(const service::CompositeRequest& request,
@@ -1180,89 +1143,6 @@ ComposeResult BcpEngine::compose(const service::CompositeRequest& request,
   }
   finalize(state);
   return std::move(state.result);
-}
-
-void BcpEngine::compose_async(const service::CompositeRequest& request,
-                              Rng& rng,
-                              std::function<void(ComposeResult)> done) {
-  SPIDER_REQUIRE(done != nullptr);
-
-  struct AsyncRun {
-    ComposeState state;
-    std::size_t outstanding = 0;  ///< probes still in flight
-    bool finished = false;
-    sim::EventId timeout_event = sim::kInvalidEvent;
-    std::function<void(ComposeResult)> done;
-  };
-  auto run = std::make_shared<AsyncRun>();
-  run->done = std::move(done);
-
-  if (!init_state(run->state, request, rng)) {
-    // Fail at the earliest possible virtual instant, still asynchronously.
-    sim_->schedule_after(0.0, [this, run] {
-      (void)this;
-      run->done(std::move(run->state.result));
-    });
-    return;
-  }
-
-  const double t0 = sim_->now();
-
-  // Each probe hop is one event at the probe's arrival time. The
-  // recursion goes through a shared function object so that event lambdas
-  // hold a stable copy (a local std::function would die when
-  // compose_async returns).
-  auto scheduler = std::make_shared<std::function<void(Probe)>>();
-
-  // Completion: merge/select at the destination, then deliver the result
-  // when the ack (or the failure notice) reaches the source.
-  auto complete = [this, run, t0, scheduler] {
-    if (run->finished) return;
-    run->finished = true;
-    if (run->timeout_event != sim::kInvalidEvent) {
-      sim_->cancel(run->timeout_event);
-    }
-    finalize(run->state);
-    const double done_at = t0 + run->state.result.stats.setup_time_ms;
-    const double delay = std::max(0.0, done_at - sim_->now());
-    sim_->schedule_after(delay, [run] {
-      run->done(std::move(run->state.result));
-    });
-    // The scheduler's lambda captures `scheduler` (and, via `complete`,
-    // this whole chain) — an ownership cycle that would leak the run's
-    // state. Clearing the function breaks it; in-flight events hold
-    // their own shared_ptr copies and drain harmlessly via the
-    // `finished` check.
-    *scheduler = nullptr;
-  };
-
-  *scheduler = [this, run, t0, complete, scheduler](Probe probe) {
-    ++run->outstanding;
-    const double at = t0 + probe.arrival;
-    sim_->schedule_at(std::max(at, sim_->now()),
-                      [this, run, complete, scheduler,
-                       probe = std::move(probe)]() mutable {
-                        --run->outstanding;
-                        if (run->finished) return;
-                        std::vector<Probe> children;
-                        process_probe(run->state, std::move(probe), &children);
-                        for (Probe& child : children) {
-                          (*scheduler)(std::move(child));
-                        }
-                        if (run->outstanding == 0) complete();
-                      });
-  };
-
-  // Destination collection timeout (§4.1 step 3).
-  run->timeout_event = sim_->schedule_after(
-      config_.probe_timeout_ms, [run, complete] {
-        run->timeout_event = sim::kInvalidEvent;
-        complete();
-      });
-
-  std::vector<Probe> seeds = std::move(run->state.seeds);
-  run->state.seeds.clear();
-  for (Probe& seed : seeds) (*scheduler)(std::move(seed));
 }
 
 }  // namespace spider::core

@@ -18,14 +18,18 @@
 //   5. the best graph's soft holds are kept for confirmation; all other
 //      holds created by this request are released (the timeout path).
 //
-// Execution model (DESIGN.md §5): probing runs synchronously with
-// analytically accumulated virtual latency per probe — identical protocol
-// decisions to a message-level run, at the scale Fig 8 requires. Message
-// and timing totals are reported in ComposeStats.
+// Execution model (DESIGN.md §5b): probing runs synchronously with
+// analytically accumulated virtual latency per probe, at the scale Fig 8
+// requires. Decisions do not depend on the order probes are processed:
+// metric noise and fault sampling are hashed from per-request keys, never
+// drawn from a shared stream. Message and timing totals are reported in
+// ComposeStats.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -33,10 +37,10 @@
 #include "core/deployment.hpp"
 #include "core/evaluator.hpp"
 #include "core/probe_path.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace spider::obs {
-class MetricsRegistry;
 class ProbeTrace;
 }  // namespace spider::obs
 
@@ -200,8 +204,8 @@ struct ComposeStats {
   // Probe-state copy accounting (the spawn hot path). `probe_bytes_copied`
   // is the volume of probe state physically copied when spawning probes;
   // `prefix_nodes_shared` counts prefix hops children inherited by
-  // reference instead of copying. Both are identical between the sync and
-  // message-level drivers (they depend on spawn events, not timing).
+  // reference instead of copying. Both depend on spawn events only, so
+  // they are identical with and without debug_clone_prefixes.
   std::uint64_t probe_bytes_copied = 0;
   std::uint64_t prefix_nodes_shared = 0;
   // Two-tier accounting (both zero in flat mode — see set_communities).
@@ -212,8 +216,8 @@ struct ComposeStats {
   double discovery_time_ms = 0.0;        ///< critical-path discovery share
   double probing_time_ms = 0.0;          ///< arrival of last useful probe
   double setup_time_ms = 0.0;            ///< probing + ack/confirm leg
-  std::size_t candidates_merged = 0;
-  std::size_t qualified_found = 0;
+  std::uint64_t candidates_merged = 0;
+  std::uint64_t qualified_found = 0;
 
   std::uint64_t probes_dropped_total() const {
     return probes_dropped_qos + probes_dropped_resources +
@@ -224,6 +228,40 @@ struct ComposeStats {
            candidates_skipped_qos + candidates_skipped_resources +
            candidates_skipped_lost;
   }
+  bool operator==(const ComposeStats&) const = default;
+};
+
+/// Every ComposeStats counter and the "bcp.*" (or cross-layer "probe.*")
+/// counter it accumulates into, once per compose.
+inline constexpr obs::CounterField<ComposeStats> kComposeCounters[] = {
+    {"bcp.probes_spawned", &ComposeStats::probes_spawned},
+    {"bcp.probes_arrived", &ComposeStats::probes_arrived},
+    {"bcp.probes_forwarded", &ComposeStats::probes_forwarded},
+    {"bcp.probes_dropped_qos", &ComposeStats::probes_dropped_qos},
+    {"bcp.probes_dropped_resources", &ComposeStats::probes_dropped_resources},
+    {"bcp.probes_dropped_timeout", &ComposeStats::probes_dropped_timeout},
+    {"bcp.probes_dropped_lost", &ComposeStats::probes_dropped_lost},
+    {"bcp.candidates_skipped_route", &ComposeStats::candidates_skipped_route},
+    {"bcp.candidates_skipped_timeout",
+     &ComposeStats::candidates_skipped_timeout},
+    {"bcp.candidates_skipped_qos", &ComposeStats::candidates_skipped_qos},
+    {"bcp.candidates_skipped_resources",
+     &ComposeStats::candidates_skipped_resources},
+    {"bcp.candidates_skipped_lost", &ComposeStats::candidates_skipped_lost},
+    {"bcp.retransmit", &ComposeStats::probe_retransmits},
+    {"probe.timeout", &ComposeStats::probe_hop_timeouts},
+    {"bcp.probe_messages_lost", &ComposeStats::probe_messages_lost},
+    {"bcp.setup_ack_lost", &ComposeStats::setup_acks_lost},
+    {"bcp.holds_acquired", &ComposeStats::holds_acquired},
+    {"bcp.holds_reused", &ComposeStats::holds_reused},
+    {"bcp.probe_bytes_copied", &ComposeStats::probe_bytes_copied},
+    {"bcp.prefix_nodes_shared", &ComposeStats::prefix_nodes_shared},
+    {"bcp.coarse_probes", &ComposeStats::coarse_probes},
+    {"bcp.communities_pruned", &ComposeStats::communities_pruned},
+    {"bcp.probe_messages", &ComposeStats::probe_messages},
+    {"bcp.discovery_messages", &ComposeStats::discovery_messages},
+    {"bcp.candidates_merged", &ComposeStats::candidates_merged},
+    {"bcp.qualified_graphs", &ComposeStats::qualified_found},
 };
 
 struct ComposeResult {
@@ -253,17 +291,6 @@ class BcpEngine {
   /// confirmed); every other hold created here has been released.
   ComposeResult compose(const service::CompositeRequest& request, Rng& rng);
 
-  /// Message-level execution of the same protocol: every probe hop is a
-  /// simulator event fired at its arrival time, the destination collects
-  /// until its timeout (or until the last outstanding probe lands), and
-  /// `done` is invoked at the virtual time the setup acknowledgement
-  /// returns. Decision logic is byte-for-byte the one compose() uses —
-  /// only the execution order differs (probes interleave by arrival time,
-  /// so under contention the two modes may reserve in different orders).
-  /// `rng` must stay valid until `done` runs.
-  void compose_async(const service::CompositeRequest& request, Rng& rng,
-                     std::function<void(ComposeResult)> done);
-
   const BcpConfig& config() const { return config_; }
   void set_config(const BcpConfig& config) { config_ = config; }
 
@@ -273,14 +300,13 @@ class BcpEngine {
 
   /// Attaches observability sinks (either may be null; both default off).
   /// `metrics` receives cumulative "bcp.*" counters/histograms flushed
-  /// once per compose; `trace` receives the per-request structured event
-  /// log (seeds, hops, drops, holds, merge/selection). The engine never
-  /// clears the trace — callers scope it per request or per campaign.
+  /// once per compose (every kComposeCounters row, request outcomes and
+  /// the setup/probing time histograms, all registered here); `trace`
+  /// receives the per-request structured event log (seeds, hops, drops,
+  /// holds, merge/selection). The engine never clears the trace — callers
+  /// scope it per request or per campaign.
   void set_observability(obs::MetricsRegistry* metrics,
-                         obs::ProbeTrace* trace) {
-    metrics_ = metrics;
-    trace_ = trace;
-  }
+                         obs::ProbeTrace* trace);
   obs::MetricsRegistry* metrics() const { return metrics_; }
   obs::ProbeTrace* trace() const { return trace_; }
 
@@ -353,6 +379,14 @@ class BcpEngine {
   sim::Simulator* sim_;
   BcpConfig config_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  // Handles resolved by set_observability (all null while detached);
+  // m_counters_[i] mirrors kComposeCounters[i].
+  std::array<obs::Counter*, std::size(kComposeCounters)> m_counters_{};
+  obs::Counter* m_requests_ = nullptr;
+  obs::Counter* m_success_ = nullptr;
+  obs::Counter* m_failure_ = nullptr;
+  obs::Histogram* m_setup_time_ = nullptr;
+  obs::Histogram* m_probing_time_ = nullptr;
   obs::ProbeTrace* trace_ = nullptr;
   const fault::LinkFaultModel* fault_ = nullptr;
   const overlay::CommunityMap* communities_ = nullptr;

@@ -21,11 +21,11 @@
 //    first segment still shared with a sibling or an arrived probe.
 //
 // The arena lives in the engine's per-request ComposeState and must
-// outlive every probe of that request — including probes captured in
-// in-flight simulator events on the message-level driver, which keep the
-// state (and so the arena) alive through their shared_ptr to the run.
-// Flattening back to a positional per-hop view happens exactly once, at
-// `finalize()`, via `FlatPrefix`.
+// outlive every probe of that request. Sharing never changes a decision:
+// segments are immutable and decisions do not depend on the order probes
+// are processed in, so the deep-copy `clone_append` oracle yields the same
+// results. Flattening back to a positional per-hop view happens exactly
+// once, at `finalize()`, via `FlatPrefix`.
 #pragma once
 
 #include <cstddef>

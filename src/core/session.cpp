@@ -14,16 +14,6 @@ using service::ServiceGraph;
 
 namespace {
 
-/// Lazily binds and bumps a counter. The fault-path counters are created
-/// on first use, not in set_metrics, so a fault-free run exports exactly
-/// the same metrics JSON as before the fault layer existed.
-void bump(obs::MetricsRegistry* registry, obs::Counter*& counter,
-          const char* name, std::uint64_t delta = 1) {
-  if (registry == nullptr || delta == 0) return;
-  if (counter == nullptr) counter = &registry->counter(name);
-  counter->inc(delta);
-}
-
 // Message-kind tags namespacing the fault-sampling keys of lifecycle
 // control legs (arbitrary distinct constants).
 constexpr std::uint64_t kCtrlConfirm = 0xc0f1u;
@@ -35,33 +25,20 @@ constexpr std::uint64_t kCtrlRenew = 0x1ea5eu;
 
 void SessionManager::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
-  // The fault-path counters rebind lazily (see bump()) so they only show
-  // up in exports once a miss/loss actually happens.
-  m_probe_misses_ = m_false_suspicions_ = m_notifications_lost_ =
-      m_probe_timeouts_ = nullptr;
-  m_ctrl_retransmits_ = m_ctrl_duplicates_ = m_confirms_lost_ =
-      m_teardowns_lost_ = m_switch_activations_lost_ = m_source_crashes_ =
-          m_orphans_reclaimed_ = m_lease_renewals_sent_ = nullptr;
-  if (metrics == nullptr) {
-    m_established_ = m_teardowns_ = m_breaks_ = m_backup_switches_ =
-        m_reactive_recoveries_ = m_losses_ = m_maintenance_messages_ = nullptr;
-    m_active_sessions_ = nullptr;
-    return;
+  for (std::size_t i = 0; i < m_counters_.size(); ++i) {
+    m_counters_[i] = obs::counter_handle(metrics, kSessionCounters[i].metric);
   }
-  m_established_ = &metrics->counter("session.established");
-  m_teardowns_ = &metrics->counter("session.teardowns");
-  m_breaks_ = &metrics->counter("session.breaks");
-  m_backup_switches_ = &metrics->counter("session.backup_switches");
-  m_reactive_recoveries_ = &metrics->counter("session.reactive_recoveries");
-  m_losses_ = &metrics->counter("session.losses");
-  m_maintenance_messages_ = &metrics->counter("session.maintenance_messages");
-  m_active_sessions_ = &metrics->gauge("session.active");
+  m_active_sessions_ = obs::gauge_handle(metrics, "session.active");
   update_active_gauge();
 }
 
-void SessionManager::count_established() {
-  if (m_established_ != nullptr) m_established_->inc();
-  update_active_gauge();
+void SessionManager::count(std::uint64_t SessionStats::*field,
+                           std::uint64_t n) {
+  stats_.*field += n;
+  if (metrics_ == nullptr) return;
+  for (std::size_t i = 0; i < m_counters_.size(); ++i) {
+    if (kSessionCounters[i].field == field) m_counters_[i]->inc(n);
+  }
 }
 
 void SessionManager::update_active_gauge() {
@@ -105,8 +82,7 @@ SessionManager::CtrlOutcome SessionManager::send_control(
       // Exponential backoff between attempts. The exchange is synchronous
       // in the simulation, so the backoff is latency bookkeeping, not a
       // scheduled event.
-      ++stats_.ctrl_retransmits;
-      bump(metrics_, m_ctrl_retransmits_, "session.ctrl_retransmits");
+      count(&SessionStats::ctrl_retransmits);
       stats_.ctrl_backoff_ms += rto;
       rto *= 2.0;
     }
@@ -116,10 +92,7 @@ SessionManager::CtrlOutcome SessionManager::send_control(
     // The request arrived. The first delivery applies the operation; any
     // retransmitted duplicate hits the (session, epoch, seq) dedup set
     // and is merely re-acked — the operation is idempotent.
-    if (!ctrl_applied_.insert(op).second) {
-      ++stats_.ctrl_duplicates;
-      bump(metrics_, m_ctrl_duplicates_, "session.ctrl_duplicates");
-    }
+    if (!ctrl_applied_.insert(op).second) count(&SessionStats::ctrl_duplicates);
     out.applied = true;
     const std::uint64_t ack_key = util::hash_values(key, std::uint64_t{0xacu});
     if (fault_->sample_path(links, ack_key).delivered) {
@@ -317,8 +290,7 @@ SessionId SessionManager::establish(const service::CompositeRequest& request,
   const CtrlOutcome confirm =
       send_control(session, kCtrlConfirm, graph_route(session.active));
   if (!confirm.acked) {
-    ++stats_.confirms_lost;
-    bump(metrics_, m_confirms_lost_, "session.confirm_lost");
+    count(&SessionStats::confirms_lost);
     if (!confirm.applied) {
       // No peer ever saw the confirm: in the real protocol the holds
       // would simply expire unconverted; release the grants now.
@@ -347,7 +319,8 @@ SessionId SessionManager::establish(const service::CompositeRequest& request,
   }
 
   sessions_.emplace(id, std::move(session));
-  count_established();
+  count(&SessionStats::established);
+  update_active_gauge();
   return id;
 }
 
@@ -382,8 +355,7 @@ SessionId SessionManager::establish_direct(
   const CtrlOutcome confirm =
       send_control(session, kCtrlConfirm, graph_route(session.active));
   if (!confirm.acked) {
-    ++stats_.confirms_lost;
-    bump(metrics_, m_confirms_lost_, "session.confirm_lost");
+    count(&SessionStats::confirms_lost);
     if (!confirm.applied) alloc_->release_session(id);
     erase_session(id);
     return kInvalidSession;
@@ -400,7 +372,8 @@ SessionId SessionManager::establish_direct(
     ++stats_.backup_count_samples;
   }
   sessions_.emplace(id, std::move(session));
-  count_established();
+  count(&SessionStats::established);
+  update_active_gauge();
   return id;
 }
 
@@ -415,10 +388,9 @@ void SessionManager::teardown(SessionId id) {
       // No teardown request ever arrived: the peers keep the grants
       // (stranded until lease expiry or audit() reclaims them), but the
       // source still forgets the session.
-      ++stats_.teardowns_lost;
-      bump(metrics_, m_teardowns_lost_, "session.teardown_lost");
+      count(&SessionStats::teardowns_lost);
       erase_session(id);
-      if (m_teardowns_ != nullptr) m_teardowns_->inc();
+      count(&SessionStats::teardowns);
       update_active_gauge();
       return;
     }
@@ -426,7 +398,7 @@ void SessionManager::teardown(SessionId id) {
   alloc_->release_session(id);
   if (it != sessions_.end()) {
     erase_session(id);
-    if (m_teardowns_ != nullptr) m_teardowns_->inc();
+    count(&SessionStats::teardowns);
   }
   update_active_gauge();
 }
@@ -439,8 +411,7 @@ std::size_t SessionManager::on_source_crashed(PeerId source) {
   std::sort(dead.begin(), dead.end());
   for (SessionId id : dead) {
     sessions_.at(id).state = SessionState::kTornDown;
-    ++stats_.source_crashes;
-    bump(metrics_, m_source_crashes_, "session.source_crashes");
+    count(&SessionStats::source_crashes);
     // Deliberately no release_session: the crashed source cannot tear
     // anything down. Its grants are exactly what leases and the
     // anti-entropy audit exist to reclaim.
@@ -478,8 +449,7 @@ bool SessionManager::admit(Session& session, ServiceGraph graph) {
 }
 
 RecoveryOutcome SessionManager::recover(Session& session, Rng& rng) {
-  ++stats_.breaks;
-  if (m_breaks_ != nullptr) m_breaks_->inc();
+  count(&SessionStats::breaks);
   if (config_.proactive) {
     // Fast path: first surviving, admissible backup.
     session.state = SessionState::kSwitching;
@@ -501,9 +471,7 @@ RecoveryOutcome SessionManager::recover(Session& session, Rng& rng) {
       const CtrlOutcome activation =
           send_control(session, kCtrlSwitch, graph_route(candidate));
       if (!activation.acked) {
-        ++stats_.switch_activations_lost;
-        bump(metrics_, m_switch_activations_lost_,
-             "session.switch_activation_lost");
+        count(&SessionStats::switch_activations_lost);
         continue;
       }
       const double disruption =
@@ -512,8 +480,7 @@ RecoveryOutcome SessionManager::recover(Session& session, Rng& rng) {
       if (admit(session, std::move(candidate))) {
         ++session.epoch;
         session.state = SessionState::kActive;
-        ++stats_.backup_switches;
-        if (m_backup_switches_ != nullptr) m_backup_switches_->inc();
+        count(&SessionStats::backup_switches);
         stats_.switch_disruption_sum += disruption;
         refill_backups(session);
         return RecoveryOutcome::kSwitchedToBackup;
@@ -542,15 +509,13 @@ RecoveryOutcome SessionManager::recover(Session& session, Rng& rng) {
         session.pool = std::move(re.backups);
         refill_backups(session);
       }
-      ++stats_.reactive_recoveries;
-      if (m_reactive_recoveries_ != nullptr) m_reactive_recoveries_->inc();
+      count(&SessionStats::reactive_recoveries);
       return RecoveryOutcome::kReactiveRecovered;
     }
     for (HoldId hold : re.best_holds) alloc_->release_hold(hold);
   }
   session.state = SessionState::kTornDown;  // caller tears the session down
-  ++stats_.losses;
-  if (m_losses_ != nullptr) m_losses_->inc();
+  count(&SessionStats::losses);
   return RecoveryOutcome::kLost;
 }
 
@@ -577,8 +542,7 @@ std::vector<RecoveryOutcome> SessionManager::on_peer_failed(PeerId peer,
       const std::uint64_t key = util::hash_values(
           std::uint64_t{0x4f71fu}, std::uint64_t(peer), notify_nonce_++);
       if (!fault_->sample_default(key).delivered) {
-        ++stats_.notifications_lost;
-        bump(metrics_, m_notifications_lost_, "session.notifications_lost");
+        count(&SessionStats::notifications_lost);
         outcomes.push_back(RecoveryOutcome::kNotificationLost);
         continue;
       }
@@ -630,10 +594,7 @@ std::vector<RecoveryOutcome> SessionManager::monitor_active_sessions(
   for (SessionId id : ids) {
     Session& session = sessions_.at(id);
     // Liveness probes along the active graph (maintenance traffic).
-    stats_.maintenance_messages += session.active.hops.size();
-    if (m_maintenance_messages_ != nullptr) {
-      m_maintenance_messages_->inc(session.active.hops.size());
-    }
+    count(&SessionStats::maintenance_messages, session.active.hops.size());
     // Each monitored peer gets one probe round-trip per pass. A peer is
     // declared dead only after `liveness_miss_threshold` consecutive
     // misses, so a single probe lost by the fault model does not trigger
@@ -655,13 +616,8 @@ std::vector<RecoveryOutcome> SessionManager::monitor_active_sessions(
         session.probe_misses.erase(peer);
         continue;
       }
-      ++stats_.liveness_probe_misses;
-      bump(metrics_, m_probe_misses_, "session.probe_misses");
-      bump(metrics_, m_probe_timeouts_, "probe.timeout");
-      if (deployment_->peer_alive(peer)) {
-        ++stats_.false_suspicions;
-        bump(metrics_, m_false_suspicions_, "session.false_suspicions");
-      }
+      count(&SessionStats::liveness_probe_misses);
+      if (deployment_->peer_alive(peer)) count(&SessionStats::false_suspicions);
       if (++session.probe_misses[peer] >= config_.liveness_miss_threshold) {
         broken = true;
       }
@@ -705,10 +661,8 @@ void SessionManager::run_maintenance() {
       // message per session per pass. It is fire-and-forget soft state —
       // a lost renewal is simply retried by the next pass, so the only
       // penalty of loss is a closer brush with the ttl deadline.
-      ++stats_.lease_renew_messages;
-      ++stats_.maintenance_messages;
-      if (m_maintenance_messages_ != nullptr) m_maintenance_messages_->inc();
-      bump(metrics_, m_lease_renewals_sent_, "session.lease_renewals_sent");
+      count(&SessionStats::lease_renew_messages);
+      count(&SessionStats::maintenance_messages);
       bool delivered = true;
       if (faults_active) {
         const std::uint64_t key =
@@ -723,10 +677,7 @@ void SessionManager::run_maintenance() {
     for (ServiceGraph& backup : session.backups) {
       // Low-rate liveness probe along the backup graph: one message per
       // service link hop (the paper's maintenance overhead).
-      stats_.maintenance_messages += backup.hops.size();
-      if (m_maintenance_messages_ != nullptr) {
-        m_maintenance_messages_->inc(backup.hops.size());
-      }
+      count(&SessionStats::maintenance_messages, backup.hops.size());
       bool alive = deployment_->peer_alive(backup.source) &&
                    deployment_->peer_alive(backup.dest);
       for (const auto& meta : backup.mapping) {
@@ -761,8 +712,7 @@ SessionManager::AuditReport SessionManager::audit() {
     const auto totals = alloc_->session_grant_totals(id);
     report.orphan_kbps += totals.link_kbps_total;
     ++report.orphan_sessions;
-    ++stats_.orphans_reclaimed;
-    bump(metrics_, m_orphans_reclaimed_, "session.orphans_reclaimed");
+    count(&SessionStats::orphans_reclaimed);
     alloc_->release_session(id);
   }
   // 4. Conservation: what the allocator holds for each live session must
@@ -797,8 +747,7 @@ SessionManager::AuditReport SessionManager::audit() {
   std::sort(lapsed.begin(), lapsed.end());
   for (SessionId id : lapsed) {
     sessions_.at(id).state = SessionState::kTornDown;
-    ++stats_.losses;
-    if (m_losses_ != nullptr) m_losses_->inc();
+    count(&SessionStats::losses);
     erase_session(id);
   }
   if (!lapsed.empty()) update_active_gauge();

@@ -29,7 +29,9 @@
 // inert and behaviour is bit-identical to the seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -39,13 +41,8 @@
 #include "core/bcp.hpp"
 #include "core/deployment.hpp"
 #include "core/evaluator.hpp"
+#include "obs/metrics.hpp"
 #include "util/hash.hpp"
-
-namespace spider::obs {
-class MetricsRegistry;
-class Counter;
-class Gauge;
-}  // namespace spider::obs
 
 namespace spider::fault {
 class LinkFaultModel;
@@ -112,6 +109,8 @@ enum class RecoveryOutcome {
 };
 
 struct SessionStats {
+  std::uint64_t established = 0;         ///< sessions set up (both paths)
+  std::uint64_t teardowns = 0;           ///< live sessions torn down
   std::uint64_t breaks = 0;              ///< active-graph failures observed
   std::uint64_t backup_switches = 0;     ///< fast recoveries
   std::uint64_t reactive_recoveries = 0; ///< slow recoveries
@@ -156,6 +155,32 @@ struct SessionStats {
                ? 0.0
                : backup_count_sum / double(backup_count_samples);
   }
+};
+
+/// Every SessionStats counter and the counter(s) it feeds. A field may
+/// feed two names: liveness-probe misses also count as cross-layer
+/// "probe.timeout" firings, shared with BCP's per-hop retransmit timers.
+inline constexpr obs::CounterField<SessionStats> kSessionCounters[] = {
+    {"session.established", &SessionStats::established},
+    {"session.teardowns", &SessionStats::teardowns},
+    {"session.breaks", &SessionStats::breaks},
+    {"session.backup_switches", &SessionStats::backup_switches},
+    {"session.reactive_recoveries", &SessionStats::reactive_recoveries},
+    {"session.losses", &SessionStats::losses},
+    {"session.maintenance_messages", &SessionStats::maintenance_messages},
+    {"session.probe_misses", &SessionStats::liveness_probe_misses},
+    {"probe.timeout", &SessionStats::liveness_probe_misses},
+    {"session.false_suspicions", &SessionStats::false_suspicions},
+    {"session.notifications_lost", &SessionStats::notifications_lost},
+    {"session.ctrl_retransmits", &SessionStats::ctrl_retransmits},
+    {"session.ctrl_duplicates", &SessionStats::ctrl_duplicates},
+    {"session.confirm_lost", &SessionStats::confirms_lost},
+    {"session.teardown_lost", &SessionStats::teardowns_lost},
+    {"session.switch_activation_lost",
+     &SessionStats::switch_activations_lost},
+    {"session.source_crashes", &SessionStats::source_crashes},
+    {"session.orphans_reclaimed", &SessionStats::orphans_reclaimed},
+    {"session.lease_renewals_sent", &SessionStats::lease_renew_messages},
 };
 
 class SessionManager {
@@ -259,9 +284,9 @@ class SessionManager {
   std::size_t active_sessions() const { return sessions_.size(); }
   const SessionStats& stats() const { return stats_; }
 
-  /// Attaches a metrics registry (null detaches). Publishes cumulative
-  /// "session.*" counters (establishments, breaks, recovery outcomes,
-  /// maintenance traffic) and an active-session gauge.
+  /// Attaches a metrics registry (null detaches). Registers every
+  /// kSessionCounters row (establishments, breaks, recovery outcomes,
+  /// maintenance and control-plane traffic) and an active-session gauge.
   void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Attaches a fault model (null detaches). When active, session
@@ -335,7 +360,9 @@ class SessionManager {
   bool admit(Session& session, service::ServiceGraph graph);
   void refill_backups(Session& session);
   RecoveryOutcome recover(Session& session, Rng& rng);
-  void count_established();
+  /// Adds `n` to one SessionStats counter and to every registry counter
+  /// that mirrors it.
+  void count(std::uint64_t SessionStats::*field, std::uint64_t n = 1);
   void update_active_gauge();
 
   /// True if a liveness probe round-trip from `source` reached `peer`
@@ -363,29 +390,10 @@ class SessionManager {
   std::uint64_t probe_nonce_ = 0;
   std::uint64_t notify_nonce_ = 0;
 
-  // Observability (all null when no registry is attached).
+  // Observability (all null when no registry is attached);
+  // m_counters_[i] mirrors kSessionCounters[i].
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* m_established_ = nullptr;
-  obs::Counter* m_teardowns_ = nullptr;
-  obs::Counter* m_breaks_ = nullptr;
-  obs::Counter* m_backup_switches_ = nullptr;
-  obs::Counter* m_reactive_recoveries_ = nullptr;
-  obs::Counter* m_losses_ = nullptr;
-  obs::Counter* m_maintenance_messages_ = nullptr;
-  obs::Counter* m_probe_misses_ = nullptr;
-  obs::Counter* m_false_suspicions_ = nullptr;
-  obs::Counter* m_notifications_lost_ = nullptr;
-  obs::Counter* m_probe_timeouts_ = nullptr;  ///< shared "probe.timeout"
-  // Lifecycle control-plane counters; bind lazily (first event) so runs
-  // without faults/leases export exactly the seed's metrics JSON.
-  obs::Counter* m_ctrl_retransmits_ = nullptr;
-  obs::Counter* m_ctrl_duplicates_ = nullptr;
-  obs::Counter* m_confirms_lost_ = nullptr;
-  obs::Counter* m_teardowns_lost_ = nullptr;
-  obs::Counter* m_switch_activations_lost_ = nullptr;
-  obs::Counter* m_source_crashes_ = nullptr;
-  obs::Counter* m_orphans_reclaimed_ = nullptr;
-  obs::Counter* m_lease_renewals_sent_ = nullptr;
+  std::array<obs::Counter*, std::size(kSessionCounters)> m_counters_{};
   obs::Gauge* m_active_sessions_ = nullptr;
 };
 

@@ -11,26 +11,18 @@ namespace spider::discovery {
 using service::ComponentMetadata;
 
 void ServiceRegistry::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics == nullptr) {
-    m_lookups_ = m_lookup_hops_ = m_lookup_failures_ = m_cache_hits_ =
-        m_cache_misses_ = m_cache_evictions_ = nullptr;
-    return;
-  }
-  m_lookups_ = &metrics->counter("discovery.lookups");
-  m_lookup_hops_ = &metrics->counter("discovery.lookup_hops");
-  m_lookup_failures_ = &metrics->counter("discovery.lookup_failures");
-  m_cache_hits_ = &metrics->counter("discovery.cache_hits");
-  m_cache_misses_ = &metrics->counter("discovery.cache_misses");
+  m_lookups_ = obs::counter_handle(metrics, "discovery.lookups");
+  m_lookup_hops_ = obs::counter_handle(metrics, "discovery.lookup_hops");
+  m_lookup_failures_ =
+      obs::counter_handle(metrics, "discovery.lookup_failures");
+  m_cache_hits_ = obs::counter_handle(metrics, "discovery.cache_hits");
+  m_cache_misses_ = obs::counter_handle(metrics, "discovery.cache_misses");
+  m_cache_evictions_ =
+      obs::counter_handle(metrics, "discovery.cache_evictions");
 }
 
 void ServiceRegistry::note_evictions(std::size_t count) {
-  if (count == 0) return;
   cache_evictions_ += count;
-  // Lazily registered so cache-free runs keep their exact metric exports.
-  if (metrics_ != nullptr && m_cache_evictions_ == nullptr) {
-    m_cache_evictions_ = &metrics_->counter("discovery.cache_evictions");
-  }
   if (m_cache_evictions_ != nullptr) m_cache_evictions_->inc(count);
 }
 

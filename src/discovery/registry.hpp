@@ -97,8 +97,9 @@ class ServiceRegistry {
   /// reclamation (mirrors the allocator's sweep_expired()).
   std::size_t sweep_expired();
 
-  /// Attaches a metrics registry (null detaches). Publishes cumulative
-  /// "discovery.*" counters: lookups, per-lookup DHT hops, cache outcomes.
+  /// Attaches a metrics registry (null detaches). Registers cumulative
+  /// "discovery.*" counters: lookups, per-lookup DHT hops, cache outcomes
+  /// and evictions.
   void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Key under which a function's replicas are registered.
@@ -147,7 +148,6 @@ class ServiceRegistry {
   std::uint64_t cached_lookups_since_sweep_ = 0;
 
   // Observability (all null when no registry is attached).
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* m_lookups_ = nullptr;
   obs::Counter* m_lookup_hops_ = nullptr;
   obs::Counter* m_lookup_failures_ = nullptr;

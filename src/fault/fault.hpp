@@ -12,10 +12,10 @@
 // Determinism: outcomes are NOT drawn from a shared RNG stream. Every
 // sample is a pure hash of (model seed, caller-supplied message key,
 // link id), so the outcome of a given message is independent of the
-// order messages are sampled in. This keeps BCP's synchronous and
-// message-level modes byte-identical (same guarantee the engine's
-// hashed metric noise provides, see core/bcp.cpp) and makes runs
-// reproducible under refactors that reorder event processing.
+// order messages are sampled in. BCP decisions therefore do not depend on
+// the order probes are processed in (same guarantee the engine's hashed
+// metric noise provides, see core/bcp.cpp), and runs stay reproducible
+// under refactors that reorder event processing.
 //
 // Zero-cost when clean: `active()` is false while every profile is
 // all-zero, and callers skip sampling entirely — a run with a clean

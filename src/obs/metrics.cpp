@@ -66,11 +66,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 std::string MetricsRegistry::to_json() const {
   util::JsonWriter w;
   w.begin_object();

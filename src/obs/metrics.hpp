@@ -3,9 +3,9 @@
 //
 // Design constraints (ROADMAP observability item):
 //  * no dependencies beyond util;
-//  * zero cost when disabled — instrumented components hold a nullable
-//    `MetricsRegistry*` plus instrument pointers resolved once at wiring
-//    time, so a disabled hot path pays exactly one null check;
+//  * zero cost when disabled — instrumented components hold instrument
+//    pointers resolved once at wiring time (null while detached), so a
+//    disabled hot path pays exactly one null check;
 //  * instrument references are stable for the registry's lifetime
 //    (node-based storage), so callers may cache them.
 //
@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef NDEBUG
@@ -139,11 +140,9 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
-  /// Read-side lookups that never create the instrument — tests and
-  /// report code can check "was this ever counted?" without perturbing
-  /// the exported JSON. Return nullptr when the name was never registered.
+  /// Read-side lookup that never creates the instrument (usable on a
+  /// const registry). Returns nullptr when the name was never registered.
   const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
 
   /// Folds `other` into this registry: counters add their totals, gauges
   /// add their levels (disjoint worlds' levels sum), histograms add their
@@ -179,6 +178,35 @@ class MetricsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
+};
+
+/// Handle resolution for instrumented components' set_metrics(): registers
+/// the named instrument, or yields null for a detached (null) registry, so
+/// one assignment per handle covers both attach and detach. Components
+/// register every instrument they publish this way, at attach — exports
+/// therefore list an instrument even while it reads zero.
+inline Counter* counter_handle(MetricsRegistry* registry,
+                               const std::string& name) {
+  return registry == nullptr ? nullptr : &registry->counter(name);
+}
+inline Gauge* gauge_handle(MetricsRegistry* registry, const std::string& name) {
+  return registry == nullptr ? nullptr : &registry->gauge(name);
+}
+inline Histogram* histogram_handle(MetricsRegistry* registry,
+                                   const std::string& name,
+                                   std::vector<double> bounds) {
+  return registry == nullptr ? nullptr
+                             : &registry->histogram(name, std::move(bounds));
+}
+
+/// One row of a stats struct's counter table: the exported counter name
+/// and the struct field it mirrors. A component resolves one handle per
+/// row at attach and publishes the whole table in one loop; tests diff the
+/// registry against summed stats through the same table.
+template <class Stats>
+struct CounterField {
+  const char* metric;
+  std::uint64_t Stats::*field;
 };
 
 }  // namespace spider::obs

@@ -57,13 +57,12 @@ TrustRecord TrustManager::record(PeerId requester, PeerId subject) {
   return out;
 }
 
+void TrustManager::set_metrics(obs::MetricsRegistry* metrics) {
+  m_cache_evictions_ = obs::counter_handle(metrics, "trust.cache_evictions");
+}
+
 void TrustManager::note_evictions(std::size_t count) {
-  if (count == 0) return;
   cache_evictions_ += count;
-  // Lazily registered so cache-free runs keep their exact metric exports.
-  if (metrics_ != nullptr && m_cache_evictions_ == nullptr) {
-    m_cache_evictions_ = &metrics_->counter("trust.cache_evictions");
-  }
   if (m_cache_evictions_ != nullptr) m_cache_evictions_->inc(count);
 }
 

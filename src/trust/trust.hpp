@@ -94,13 +94,9 @@ class TrustManager {
   /// call this directly for prompt reclamation.
   std::size_t sweep_expired();
 
-  /// Attaches a metrics registry (null detaches). The only counter,
-  /// "trust.cache_evictions", is registered lazily on the first eviction
-  /// so cache-free runs keep their exact metric exports.
-  void set_metrics(obs::MetricsRegistry* metrics) {
-    metrics_ = metrics;
-    m_cache_evictions_ = nullptr;
-  }
+  /// Attaches a metrics registry (null detaches) and registers the only
+  /// counter, "trust.cache_evictions".
+  void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
   struct CacheEntry {
@@ -130,7 +126,6 @@ class TrustManager {
   std::uint64_t reports_ = 0;
   std::uint64_t cache_evictions_ = 0;
   std::uint64_t cached_lookups_since_sweep_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* m_cache_evictions_ = nullptr;
 };
 

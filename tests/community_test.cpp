@@ -153,31 +153,11 @@ TEST(CommunityIndex, BucketsReplicasByHostCommunity) {
   EXPECT_EQ(indexed, s->deployment->component_count());
 }
 
-// Memberwise ComposeStats equality — the equivalence oracle below wants
-// to see *identical* accounting, not merely identical outcomes.
-void expect_stats_equal(const core::ComposeStats& a,
-                        const core::ComposeStats& b) {
-  EXPECT_EQ(a.probes_spawned, b.probes_spawned);
-  EXPECT_EQ(a.probes_arrived, b.probes_arrived);
-  EXPECT_EQ(a.probes_forwarded, b.probes_forwarded);
-  EXPECT_EQ(a.probes_dropped_total(), b.probes_dropped_total());
-  EXPECT_EQ(a.candidates_skipped_total(), b.candidates_skipped_total());
-  EXPECT_EQ(a.coarse_probes, b.coarse_probes);
-  EXPECT_EQ(a.communities_pruned, b.communities_pruned);
-  EXPECT_EQ(a.probe_messages, b.probe_messages);
-  EXPECT_EQ(a.discovery_messages, b.discovery_messages);
-  EXPECT_EQ(a.holds_acquired, b.holds_acquired);
-  EXPECT_EQ(a.holds_reused, b.holds_reused);
-  EXPECT_DOUBLE_EQ(a.probing_time_ms, b.probing_time_ms);
-  EXPECT_DOUBLE_EQ(a.setup_time_ms, b.setup_time_ms);
-  EXPECT_EQ(a.candidates_merged, b.candidates_merged);
-  EXPECT_EQ(a.qualified_found, b.qualified_found);
-}
-
 TEST(TwoTierBcp, SingleCommunityMapRunsFlatBitForBit) {
   // Two identical worlds; one engine runs detached (flat), the other has
-  // a 1-community map attached. Results and stats must be identical —
-  // the count==1 short-circuit is the two-tier layer's legacy mode.
+  // a 1-community map attached. Results and stats must be identical, every
+  // ComposeStats field included — the count==1 short-circuit is the
+  // two-tier layer's legacy mode.
   auto flat = community_scenario(11, 1);
   auto tiered = community_scenario(11, 1);
   ASSERT_EQ(tiered->communities->community_count(), 1u);
@@ -199,7 +179,7 @@ TEST(TwoTierBcp, SingleCommunityMapRunsFlatBitForBit) {
     ASSERT_EQ(a.success, b.success);
     EXPECT_EQ(b.stats.coarse_probes, 0u);
     EXPECT_EQ(b.stats.communities_pruned, 0u);
-    expect_stats_equal(a.stats, b.stats);
+    EXPECT_EQ(a.stats, b.stats);
     if (a.success) {
       ASSERT_EQ(a.best.mapping.size(), b.best.mapping.size());
       for (std::size_t n = 0; n < a.best.mapping.size(); ++n) {

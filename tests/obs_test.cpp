@@ -7,6 +7,8 @@
 #include <string>
 
 #include "core/bcp.hpp"
+#include "core/session.hpp"
+#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_scenario.hpp"
@@ -341,6 +343,76 @@ TEST(ObsIntegration, ComposePublishesMetricsAndTrace) {
   auto trace_back = ProbeTrace::from_json(trace.to_json());
   ASSERT_TRUE(trace_back.has_value());
   EXPECT_EQ(trace_back->events().size(), trace.events().size());
+}
+
+TEST(ObsIntegration, RegistryMirrorsEveryComposeCounter) {
+  auto s = spider::testing::small_scenario();
+  core::BcpEngine bcp(*s->deployment, *s->alloc, *s->evaluator, s->sim,
+                      core::BcpConfig{});
+  MetricsRegistry metrics;
+  bcp.set_observability(&metrics, nullptr);
+  // Loss moves the retransmission and loss counters too.
+  const fault::LinkFaultModel faults = fault::LinkFaultModel::uniform_loss(0.2);
+  bcp.set_fault_model(&faults);
+
+  core::ComposeStats total;
+  std::uint64_t successes = 0;
+  Rng rng{5};
+  for (overlay::PeerId p = 0; p < 12; p += 2) {
+    core::ComposeResult r =
+        bcp.compose(spider::testing::easy_request(*s, 3, p, p + 1), rng);
+    for (const auto& row : core::kComposeCounters) {
+      total.*row.field += r.stats.*row.field;
+    }
+    successes += r.success ? 1 : 0;
+    for (core::HoldId h : r.best_holds) s->alloc->release_hold(h);
+  }
+  EXPECT_GT(total.probe_retransmits, 0u);
+  for (const auto& row : core::kComposeCounters) {
+    EXPECT_EQ(metrics.counter(row.metric).value(), total.*row.field)
+        << row.metric;
+  }
+  EXPECT_EQ(metrics.counter("bcp.requests").value(), 6u);
+  EXPECT_EQ(metrics.counter("bcp.compose_success").value(), successes);
+}
+
+TEST(ObsIntegration, RegistryMirrorsEverySessionCounter) {
+  auto s = spider::testing::small_scenario(/*seed=*/17, /*peers=*/64);
+  core::BcpConfig config;
+  config.probing_budget = 128;
+  core::BcpEngine bcp(*s->deployment, *s->alloc, *s->evaluator, s->sim,
+                      config);
+  core::RecoveryConfig recovery;
+  recovery.backup_aggressiveness = 30.0;
+  core::SessionManager manager(*s->deployment, *s->alloc, *s->evaluator, bcp,
+                               s->sim, recovery);
+  MetricsRegistry metrics;
+  manager.set_metrics(&metrics);
+
+  // Establish, switch to a backup after a peer failure, maintain, tear down.
+  Rng rng{23};
+  const auto req = spider::testing::backup_request(*s, bcp, rng);
+  core::ComposeResult r = bcp.compose(req, rng);
+  ASSERT_TRUE(r.success);
+  const core::SessionId id = manager.establish(req, std::move(r));
+  ASSERT_NE(id, core::kInvalidSession);
+  const overlay::PeerId victim = manager.active_graph(id)->mapping[0].host;
+  s->deployment->kill_peer(victim);
+  const auto outcomes = manager.on_peer_failed(victim, rng);
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_EQ(outcomes[0], core::RecoveryOutcome::kSwitchedToBackup);
+  manager.run_maintenance();
+  manager.teardown(id);
+
+  const core::SessionStats& stats = manager.stats();
+  EXPECT_EQ(stats.established, 1u);
+  EXPECT_EQ(stats.backup_switches, 1u);
+  EXPECT_EQ(stats.teardowns, 1u);
+  for (const auto& row : core::kSessionCounters) {
+    EXPECT_EQ(metrics.counter(row.metric).value(), stats.*row.field)
+        << row.metric;
+  }
+  EXPECT_EQ(metrics.gauge("session.active").value(), 0.0);
 }
 
 }  // namespace

@@ -81,9 +81,14 @@ TEST(RequestSpec, ReuseOfFunctionNameSharesNode) {
 }
 
 struct BadCase {
+  const char* name;
   const char* spec;
   const char* expect_substring;
 };
+
+// Names each case in test listings; gtest's default would dump the raw
+// pointer bytes, which change with every run under ASLR.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 class RequestSpecErrors : public ::testing::TestWithParam<BadCase> {};
 
@@ -99,18 +104,25 @@ TEST_P(RequestSpecErrors, RejectsWithMessage) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, RequestSpecErrors,
     ::testing::Values(
-        BadCase{"delay: 100\n", "no edges"},
-        BadCase{"edges: a -> b\n", "missing required 'delay'"},
-        BadCase{"edges: a\ndelay: 5\n", "at least two"},
-        BadCase{"edges: a -> a\ndelay: 5\n", "self edge"},
-        BadCase{"edges: a -> b\ndelay: -3\n", "positive"},
-        BadCase{"edges: a -> b\ndelay: 5\nloss: 1.5\n", "[0, 1)"},
-        BadCase{"edges: a -> b\ndelay: 5\nbogus: 1\n", "unknown key"},
-        BadCase{"edges: a -> b\ndelay: 5\ncommute: a ~ z\n", "undeclared"},
-        BadCase{"edges: a -> b\ndelay: 5\nconditional: q\n", "undeclared"},
-        BadCase{"edges: a -> b\nedges: b -> a\ndelay: 5\n", "cycle"},
-        BadCase{"just some text\n", "key: value"},
-        BadCase{"edges: a -> b\ndelay: 5\ncommute: a\n", "a ~ b"}));
+        BadCase{"NoEdges", "delay: 100\n", "no edges"},
+        BadCase{"MissingDelay", "edges: a -> b\n",
+                "missing required 'delay'"},
+        BadCase{"SingleNodeEdge", "edges: a\ndelay: 5\n", "at least two"},
+        BadCase{"SelfEdge", "edges: a -> a\ndelay: 5\n", "self edge"},
+        BadCase{"NegativeDelay", "edges: a -> b\ndelay: -3\n", "positive"},
+        BadCase{"LossOutOfRange", "edges: a -> b\ndelay: 5\nloss: 1.5\n",
+                "[0, 1)"},
+        BadCase{"UnknownKey", "edges: a -> b\ndelay: 5\nbogus: 1\n",
+                "unknown key"},
+        BadCase{"CommuteUndeclared",
+                "edges: a -> b\ndelay: 5\ncommute: a ~ z\n", "undeclared"},
+        BadCase{"ConditionalUndeclared",
+                "edges: a -> b\ndelay: 5\nconditional: q\n", "undeclared"},
+        BadCase{"Cycle", "edges: a -> b\nedges: b -> a\ndelay: 5\n",
+                "cycle"},
+        BadCase{"NotKeyValue", "just some text\n", "key: value"},
+        BadCase{"CommuteMissingTilde",
+                "edges: a -> b\ndelay: 5\ncommute: a\n", "a ~ b"}));
 
 }  // namespace
 }  // namespace spider::service

@@ -38,6 +38,13 @@ class SessionTest : public ::testing::Test {
     return manager_->establish(req, std::move(r));
   }
 
+  /// Establishes a session whose bounds sit close to what it delivers
+  /// (spider::testing::backup_request), so Eq. 2 gives it backups.
+  SessionId establish_with_backups() {
+    return compose_and_establish(
+        spider::testing::backup_request(*scenario_, *engine_, rng_));
+  }
+
   std::unique_ptr<workload::Scenario> scenario_;
   std::unique_ptr<BcpEngine> engine_;
   std::unique_ptr<SessionManager> manager_;
@@ -162,20 +169,16 @@ TEST_F(SessionTest, SelectBackupsPrefersOverlap) {
 }
 
 TEST_F(SessionTest, PeerFailureTriggersBackupSwitch) {
-  auto req = spider::testing::easy_request(*scenario_);
-  const SessionId id = compose_and_establish(req);
+  const SessionId id = establish_with_backups();
   ASSERT_NE(id, kInvalidSession);
+  ASSERT_GT(manager_->backup_count_of(id), 0u);
   const ServiceGraph* active = manager_->active_graph(id);
   ASSERT_NE(active, nullptr);
-  if (manager_->backup_count_of(id) == 0) {
-    GTEST_SKIP() << "no backups selected for this seed";
-  }
   const PeerId victim = active->mapping[0].host;
   scenario_->deployment->kill_peer(victim);
   auto outcomes = manager_->on_peer_failed(victim, rng_);
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_TRUE(outcomes[0] == RecoveryOutcome::kSwitchedToBackup ||
-              outcomes[0] == RecoveryOutcome::kReactiveRecovered);
+  EXPECT_EQ(outcomes[0], RecoveryOutcome::kSwitchedToBackup);
   const ServiceGraph* now = manager_->active_graph(id);
   ASSERT_NE(now, nullptr);
   EXPECT_FALSE(now->uses_peer(victim));
@@ -226,11 +229,9 @@ TEST_F(SessionTest, ReactiveRecoveryWhenProactiveDisabled) {
 }
 
 TEST_F(SessionTest, MaintenancePrunesDeadBackups) {
-  auto req = spider::testing::easy_request(*scenario_);
-  const SessionId id = compose_and_establish(req);
+  const SessionId id = establish_with_backups();
   ASSERT_NE(id, kInvalidSession);
-  const std::size_t before = manager_->backup_count_of(id);
-  if (before == 0) GTEST_SKIP() << "no backups for this seed";
+  ASSERT_GT(manager_->backup_count_of(id), 0u);
   manager_->run_maintenance();
   EXPECT_GT(manager_->stats().maintenance_messages, 0u);
   // Backups survive maintenance while everything is alive.

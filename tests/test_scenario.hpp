@@ -57,4 +57,21 @@ inline service::CompositeRequest easy_request(workload::Scenario& s,
   return req;
 }
 
+/// easy_request with its bounds tightened around what one compose of it
+/// delivers: 2x the delay, the loss + 1 on the loss scale and 2x the
+/// failure probability. Margins that close make Eq. 2 prescribe backups.
+/// The probing compose's holds are released again.
+inline service::CompositeRequest backup_request(workload::Scenario& s,
+                                                core::BcpEngine& engine,
+                                                Rng& rng) {
+  service::CompositeRequest req = easy_request(s);
+  core::ComposeResult r = engine.compose(req, rng);
+  SPIDER_REQUIRE(r.success);
+  for (core::HoldId h : r.best_holds) s.alloc->release_hold(h);
+  req.qos_req = service::Qos::delay_loss(2.0 * r.best.qos.delay_ms(),
+                                         r.best.qos.loss_log() + 1.0);
+  req.max_failure_prob = 2.0 * r.best.failure_prob;
+  return req;
+}
+
 }  // namespace spider::testing

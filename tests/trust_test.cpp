@@ -111,20 +111,19 @@ TEST_F(TrustTest, ExpiredCacheEntriesAreErasedNotJustBypassed) {
   EXPECT_EQ(cached.cache_size(), 1u);
 }
 
-TEST_F(TrustTest, CacheEvictionCounterIsLazilyRegistered) {
+TEST_F(TrustTest, CacheEvictionCounterIsRegisteredAtAttach) {
   obs::MetricsRegistry metrics;
   TrustConfig config;
   config.cache_ttl = 50.0;
   TrustManager cached(*scenario_->deployment, scenario_->sim, config);
   cached.set_metrics(&metrics);
+  const obs::Counter* evictions = metrics.find_counter("trust.cache_evictions");
+  ASSERT_NE(evictions, nullptr);
   cached.trust(0, 5);
-  // No eviction yet: the counter must not exist (cache-free runs keep
-  // their exact metric exports).
-  EXPECT_EQ(metrics.find_counter("trust.cache_evictions"), nullptr);
+  EXPECT_EQ(evictions->value(), 0u);  // no eviction yet
   scenario_->sim.run_until(scenario_->sim.now() + 51.0);
   cached.trust(0, 5);
-  ASSERT_NE(metrics.find_counter("trust.cache_evictions"), nullptr);
-  EXPECT_EQ(metrics.find_counter("trust.cache_evictions")->value(), 1u);
+  EXPECT_EQ(evictions->value(), 1u);
 }
 
 TEST_F(TrustTest, BcpSteersAwayFromDistrustedPeers) {

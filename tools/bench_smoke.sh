@@ -208,87 +208,46 @@ with open(baselines_path) as f:
 metrics = {}
 failures = 0
 
-# Exact probe-message counts for the bench_scale quick tier (and the xl
-# tier when it ran): probing is governed by the β budget, so these are
-# deterministic integers — any drift is a protocol change that must
-# update scale_rows deliberately. Rows are keyed estimator-aware: the
-# same (peers, depth) can legitimately differ between the exact and the
-# landmark-estimated world.
-def row_key(r):
-    return (r["peers"], r["depth"], bool(r.get("estimator", False)))
-
-scale_rows = {}
-with open(scale_json) as f:
-    scale_rows.update({row_key(r): r for r in json.load(f)["rows"]})
-if scale_xl_json:
-    with open(scale_xl_json) as f:
-        scale_rows.update({row_key(r): r for r in json.load(f)["rows"]})
-for expect in baselines.get("scale_rows", []):
-    key = row_key(expect)
-    if key[2] and not scale_xl_json:
-        continue  # xl rows only checked when the xl tier ran
-    row = scale_rows.get(key)
-    if row is None:
-        print(f"FAIL scale:{key}: row missing from BENCH_scale.json")
-        failures += 1
-        continue
-    actual = row["probe_messages"]
-    status = "ok  " if actual == expect["probe_messages"] else "FAIL"
-    print(f"{status} scale:peers={expect['peers']},depth={expect['depth']},"
-          f"estimator={key[2]}: "
-          f"probe_messages={actual} expected={expect['probe_messages']}")
-    if actual != expect["probe_messages"]:
-        failures += 1
-    if key[2] and row.get("est_bound_violations", 0) != 0:
-        print(f"FAIL scale:{key}: estimator bound violations "
-              f"({row['est_bound_violations']})")
-        failures += 1
-
-# Exact per-(cell, phase) counts for the serving quick tier: the open
-# loop is deterministic in virtual time, so every integer counter a
-# baseline row pins (arrivals / established / rejected, plus retries /
-# retry_gaveups on the closed-loop cell) is compared exactly — drift
-# means the traffic, admission, or retry behaviour changed and the
-# baseline must be updated deliberately in the same commit.
-with open(serve_json) as f:
-    serve_rows = {(r["cell"], r["phase"]): r for r in json.load(f)["rows"]}
-for expect in baselines.get("serve_rows", []):
-    key = (expect["cell"], expect["phase"])
-    row = serve_rows.get(key)
-    if row is None:
-        print(f"FAIL serve:{key}: row missing from BENCH_serve.json")
-        failures += 1
-        continue
-    for field in sorted(k for k in expect if k not in ("cell", "phase")):
-        actual = row[field]
-        status = "ok  " if actual == expect[field] else "FAIL"
-        print(f"{status} serve:{key[0]}/{key[1]}: {field}={actual} "
-              f"expected={expect[field]}")
-        if actual != expect[field]:
+# Exact per-row baselines. Each section maps to the bench JSON its rows
+# come from, the fields that key a row, and how a verdict names the row;
+# every other field a baseline row pins is an integer counter compared
+# exactly, because the quick tiers are deterministic — drift means probing,
+# traffic, admission, retry or coarse-tier behaviour changed and the
+# baseline must be updated deliberately in the same commit. Scale rows are
+# keyed estimator-aware (the same (peers, depth) legitimately differs
+# between the exact and the landmark-estimated world), and xl rows are only
+# checked when the xl tier ran (bench_scale --xl itself exits non-zero on
+# any estimator bound violation).
+sections = {
+    "scale": ([scale_json, scale_xl_json], ("peers", "depth", "estimator"),
+              lambda k: f"peers={k[0]},depth={k[1]},estimator={k[2]}"),
+    "serve": ([serve_json], ("cell", "phase"), lambda k: f"{k[0]}/{k[1]}"),
+    "communities": ([communities_json], ("peers", "communities"),
+                    lambda k: f"peers={k[0]},C={k[1]}"),
+}
+for name, (paths, key_fields, label) in sections.items():
+    def row_key(r):
+        return tuple(r.get(f, False) for f in key_fields)
+    rows = {}
+    for path in filter(None, paths):
+        with open(path) as f:
+            rows.update({row_key(r): r for r in json.load(f)["rows"]})
+    for expect in baselines.get(f"{name}_rows", []):
+        key = row_key(expect)
+        if name == "scale" and key[2] and not scale_xl_json:
+            continue
+        row = rows.get(key)
+        if row is None:
+            print(f"FAIL {name}:{key}: row missing from BENCH_{name}.json")
             failures += 1
-# Exact per-(peers, communities) counters for the two-tier quick tier:
-# every integer a communities_rows baseline row pins (successes, probe /
-# discovery messages, coarse probes, pruned communities) is compared
-# exactly — drift means the partitioning or the coarse-tier selection
-# changed and the baseline must be updated deliberately.
-with open(communities_json) as f:
-    comm_rows = {(r["peers"], r["communities"]): r
-                 for r in json.load(f)["rows"]}
-for expect in baselines.get("communities_rows", []):
-    key = (expect["peers"], expect["communities"])
-    row = comm_rows.get(key)
-    if row is None:
-        print(f"FAIL communities:{key}: row missing from "
-              "BENCH_communities.json")
-        failures += 1
-        continue
-    for field in sorted(k for k in expect if k not in ("peers", "communities")):
-        actual = row[field]
-        status = "ok  " if actual == expect[field] else "FAIL"
-        print(f"{status} communities:peers={key[0]},C={key[1]}: "
-              f"{field}={actual} expected={expect[field]}")
-        if actual != expect[field]:
-            failures += 1
+            continue
+        for field in sorted(k for k in expect if k not in key_fields):
+            actual = row[field]
+            status = "ok  " if actual == expect[field] else "FAIL"
+            print(f"{status} {name}:{label(key)}: {field}={actual} "
+                  f"expected={expect[field]}")
+            if actual != expect[field]:
+                failures += 1
 
 for check in baselines["checks"]:
     bench = check["bench"]
