@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "util/parallel.hpp"
@@ -179,41 +178,26 @@ LandmarkTable build_ip_landmarks(const Topology& topo,
   for (NodeIdx t : targets) SPIDER_REQUIRE(t < n);
 
   // One Dijkstra over the whole topology per landmark; bottleneck and hop
-  // counts ride along the relaxation (strict `<`, so they describe the
-  // same tree path plain Dijkstra would pick), and only the target
+  // counts ride along the relaxation (the on-improve hook, so they
+  // describe the tree path the delays come from), and only the target
   // columns are kept.
   auto sssp = [&](std::uint32_t target) {
     const NodeIdx source = targets[target];
-    std::vector<double> dist(n, kInf);
     std::vector<double> btl(n, 0.0);
     std::vector<std::uint32_t> hops(n, 0);
-    using QItem = std::pair<double, NodeIdx>;
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-    dist[source] = 0.0;
     btl[source] = kInf;
-    pq.emplace(0.0, source);
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
-      if (d > dist[u]) continue;  // stale entry
-      for (const Adjacency& adj : topo.neighbors(u)) {
-        const Link& link = topo.link(adj.link);
-        const double nd = d + link.delay_ms;
-        if (nd < dist[adj.neighbor]) {
-          dist[adj.neighbor] = nd;
-          btl[adj.neighbor] = std::min(btl[u], link.bandwidth_kbps);
-          hops[adj.neighbor] = hops[u] + 1;
-          pq.emplace(nd, adj.neighbor);
-        }
-      }
-    }
+    const ShortestPathTree<LinkIdx> tree = topo.min_delay_tree(
+        source, [&](NodeIdx u, NodeIdx v, LinkIdx link) {
+          btl[v] = std::min(btl[u], topo.link(link).bandwidth_kbps);
+          hops[v] = hops[u] + 1;
+        });
     LandmarkTable::Column col;
     col.target = target;
     col.delay_ms.reserve(targets.size());
     col.bottleneck_kbps.reserve(targets.size());
     col.hops.reserve(targets.size());
     for (NodeIdx t : targets) {
-      col.delay_ms.push_back(dist[t]);
+      col.delay_ms.push_back(tree.dist[t]);
       col.bottleneck_kbps.push_back(btl[t]);
       col.hops.push_back(hops[t]);
     }

@@ -1,83 +1,34 @@
 #include "net/router.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace spider::net {
-
-SingleSourcePaths::SingleSourcePaths(const Topology& topo, NodeIdx source)
-    : topo_(&topo), source_(source) {
-  SPIDER_REQUIRE(source < topo.node_count());
-  const auto n = topo.node_count();
-  dist_.assign(n, std::numeric_limits<double>::infinity());
-  parent_link_.assign(n, kInvalidLink);
-
-  using QItem = std::pair<double, NodeIdx>;  // (dist, node)
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-  dist_[source] = 0.0;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist_[u]) continue;  // stale entry
-    for (const Adjacency& adj : topo.neighbors(u)) {
-      const double nd = d + topo.link(adj.link).delay_ms;
-      if (nd < dist_[adj.neighbor]) {
-        dist_[adj.neighbor] = nd;
-        parent_link_[adj.neighbor] = adj.link;
-        pq.emplace(nd, adj.neighbor);
-      }
-    }
-  }
-}
 
 PathMetrics SingleSourcePaths::metrics_to(NodeIdx dst) const {
   SPIDER_REQUIRE(dst < topo_->node_count());
   PathMetrics m;
   if (!reachable(dst)) return m;
-  m.delay_ms = dist_[dst];
+  m.delay_ms = tree_.dist[dst];
   m.bottleneck_kbps = std::numeric_limits<double>::infinity();
-  NodeIdx cur = dst;
-  while (cur != source_) {
-    const Link& l = topo_->link(parent_link_[cur]);
+  tree_.walk(dst, [&](LinkIdx li, NodeIdx cur) {
+    const Link& l = topo_->link(li);
     m.bottleneck_kbps = std::min(m.bottleneck_kbps, l.bandwidth_kbps);
     ++m.hops;
-    cur = l.other(cur);
-  }
-  if (m.hops == 0) m.bottleneck_kbps = std::numeric_limits<double>::infinity();
+    return l.other(cur);
+  });
   return m;
 }
 
 std::vector<NodeIdx> SingleSourcePaths::path_to(NodeIdx dst) const {
   SPIDER_REQUIRE(dst < topo_->node_count());
   if (!reachable(dst)) return {};
-  std::vector<NodeIdx> rev{dst};
-  NodeIdx cur = dst;
-  while (cur != source_) {
-    cur = topo_->link(parent_link_[cur]).other(cur);
-    rev.push_back(cur);
-  }
-  std::reverse(rev.begin(), rev.end());
-  return rev;
-}
-
-const SingleSourcePaths& Router::from(NodeIdx src) {
-  auto it = cache_.find(src);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru);  // refresh recency
-    return it->second.paths;
-  }
-  // LRU eviction: drop the coldest source — `src` is not yet cached, so
-  // the source being queried can never be the one evicted.
-  while (cache_.size() >= cache_limit_ && !lru_.empty()) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  ++recomputes_;
-  lru_.push_front(src);
-  it = cache_.emplace(src, Entry{SingleSourcePaths(*topo_, src), lru_.begin()})
-           .first;
-  return it->second.paths;
+  std::vector<NodeIdx> path{dst};
+  tree_.walk(dst, [&](LinkIdx li, NodeIdx cur) {
+    path.push_back(topo_->link(li).other(cur));
+    return path.back();
+  });
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 }  // namespace spider::net

@@ -9,12 +9,11 @@
 
 #include <cstdint>
 #include <limits>
-#include <list>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
+#include "util/lru_cache.hpp"
 
 namespace spider::net {
 
@@ -29,12 +28,12 @@ struct PathMetrics {
 /// Full single-source shortest path tree (delays + parent links).
 class SingleSourcePaths {
  public:
-  SingleSourcePaths(const Topology& topo, NodeIdx source);
+  SingleSourcePaths(const Topology& topo, NodeIdx source)
+      : topo_(&topo), tree_(topo.min_delay_tree(source)) {}
 
-  NodeIdx source() const { return source_; }
-  double delay_to(NodeIdx dst) const { return dist_.at(dst); }
+  double delay_to(NodeIdx dst) const { return tree_.dist.at(dst); }
   bool reachable(NodeIdx dst) const {
-    return dist_.at(dst) < std::numeric_limits<double>::infinity();
+    return delay_to(dst) < std::numeric_limits<double>::infinity();
   }
 
   /// Metrics (delay / bottleneck bw / hops) of the tree path to `dst`.
@@ -45,9 +44,7 @@ class SingleSourcePaths {
 
  private:
   const Topology* topo_;
-  NodeIdx source_;
-  std::vector<double> dist_;
-  std::vector<LinkIdx> parent_link_;  // link taken into each node
+  ShortestPathTree<LinkIdx> tree_;
 };
 
 /// Lazy per-source cache of shortest-path trees.
@@ -56,45 +53,31 @@ class Router {
   explicit Router(const Topology& topo) : topo_(&topo) {}
 
   /// Shortest-path tree from `src`, computing and caching on first use.
-  const SingleSourcePaths& from(NodeIdx src);
+  const SingleSourcePaths& from(NodeIdx src) {
+    return cache_.get(src, [&] { return SingleSourcePaths(*topo_, src); });
+  }
 
   /// Convenience: metrics of the min-delay path src -> dst.
   PathMetrics metrics(NodeIdx src, NodeIdx dst) { return from(src).metrics_to(dst); }
 
   /// Drops all cached trees (e.g. between benchmark repetitions).
-  void clear_cache() {
-    cache_.clear();
-    lru_.clear();
-  }
+  void clear_cache() { cache_.clear(); }
   std::size_t cached_sources() const { return cache_.size(); }
   /// Trees computed (cache misses) since construction — the recompute
   /// regression counter: a capped cache that thrashes shows up here.
-  std::uint64_t recomputes() const { return recomputes_; }
+  std::uint64_t recomputes() const { return cache_.misses(); }
 
-  /// Caps the number of cached per-source trees (default: unbounded,
-  /// preserving exact historical behaviour). Eviction is true LRU: at
-  /// the cap the least-recently-queried source is dropped — never the
-  /// source being queried, and never the whole cache (the old epoch
-  /// policy evicted its own hot working set, so alternating sources
-  /// recomputed every call). Affects memory and recompute cost only,
-  /// never routing results. With a cap set, a reference returned by
-  /// from() stays valid until `max_sources` *other* distinct sources
-  /// have been queried; the unbounded default never invalidates.
+  /// Caps the number of cached per-source trees (util::LruCache policy,
+  /// minimum 1, default unbounded). Affects memory and recompute cost
+  /// only, never routing results. A reference returned by from() stays
+  /// valid until `max_sources` *other* distinct sources have been queried.
   void set_cache_limit(std::size_t max_sources) {
-    cache_limit_ = max_sources == 0 ? 1 : max_sources;
+    cache_.set_capacity(max_sources);
   }
 
  private:
-  struct Entry {
-    SingleSourcePaths paths;
-    std::list<NodeIdx>::iterator lru;  // position in lru_ (front = hottest)
-  };
-
   const Topology* topo_;
-  std::unordered_map<NodeIdx, Entry> cache_;
-  std::list<NodeIdx> lru_;  // most-recently-queried source first
-  std::size_t cache_limit_ = std::size_t(-1);
-  std::uint64_t recomputes_ = 0;
+  util::LruCache<NodeIdx, SingleSourcePaths> cache_;
 };
 
 }  // namespace spider::net

@@ -47,22 +47,11 @@ std::span<const Adjacency> Topology::neighbors(NodeIdx n) const {
 }
 
 bool Topology::connected() const {
-  std::vector<bool> visited(node_count_, false);
-  std::vector<NodeIdx> stack{0};
-  visited[0] = true;
-  std::size_t reached = 1;
-  while (!stack.empty()) {
-    const NodeIdx n = stack.back();
-    stack.pop_back();
-    for (const Adjacency& adj : neighbors(n)) {
-      if (!visited[adj.neighbor]) {
-        visited[adj.neighbor] = true;
-        ++reached;
-        stack.push_back(adj.neighbor);
-      }
-    }
+  const ShortestPathTree<LinkIdx> tree = min_delay_tree(0);
+  for (NodeIdx n = 0; n < node_count_; ++n) {
+    if (!tree.reachable(n)) return false;
   }
-  return reached == node_count_;
+  return true;
 }
 
 }  // namespace spider::net

@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "net/shortest_paths.hpp"
 #include "util/require.hpp"
 
 namespace spider::net {
@@ -60,6 +62,21 @@ class Topology {
 
   std::span<const Adjacency> neighbors(NodeIdx n) const;
   std::size_t degree(NodeIdx n) const { return neighbors(n).size(); }
+
+  /// Min-delay tree from `source` over every link; `on_improve` as in
+  /// net::shortest_path_tree.
+  template <typename OnImprove = NoImproveHook>
+  ShortestPathTree<LinkIdx> min_delay_tree(NodeIdx source,
+                                           OnImprove&& on_improve = {}) const {
+    return net::shortest_path_tree(
+        node_count_, source, kInvalidLink,
+        [this](NodeIdx u, auto&& relax) {
+          for (const Adjacency& adj : neighbors(u)) {
+            relax(adj.neighbor, adj.link, links_[adj.link].delay_ms);
+          }
+        },
+        std::forward<OnImprove>(on_improve));
+  }
 
   /// True if every node can reach every other node.
   bool connected() const;

@@ -1,7 +1,6 @@
 #include "overlay/overlay.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <unordered_set>
 
 #include "util/parallel.hpp"
@@ -314,104 +313,46 @@ void OverlayNetwork::set_alive(PeerId p, bool alive) {
   if (alive_[p] == alive) return;
   alive_[p] = alive;
   live_count_ += alive ? 1 : std::size_t(-1);
-  clear_route_caches();
-}
-
-void OverlayNetwork::clear_route_caches() {
   tree_cache_.clear();
-  tree_lru_.clear();
   path_cache_.clear();
-  path_lru_.clear();
-  ++route_epoch_;  // every outstanding OverlayPathRef is now invalid
+  ++route_cache_clears_;  // every outstanding OverlayPathRef is now invalid
 }
 
 OverlayNetwork::RouteTree OverlayNetwork::compute_tree(PeerId src) const {
-  const std::size_t n = peer_count();
-  RouteTree tree;
-  tree.dist.assign(n, std::numeric_limits<double>::infinity());
-  tree.parent.assign(n, kInvalidOverlayLink);
-  if (!alive_[src]) return tree;  // all invalid
-
-  using QItem = std::pair<double, PeerId>;
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-  tree.dist[src] = 0.0;
-  pq.emplace(0.0, src);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > tree.dist[u]) continue;
-    for (const OverlayAdjacency& adj : neighbors(u)) {
-      if (!alive_[adj.neighbor]) continue;
-      const double nd = d + links_[adj.link].delay_ms;
-      if (nd < tree.dist[adj.neighbor]) {
-        tree.dist[adj.neighbor] = nd;
-        tree.parent[adj.neighbor] = adj.link;
-        pq.emplace(nd, adj.neighbor);
-      }
-    }
-  }
-  return tree;
+  if (!alive_[src]) return RouteTree(src, peer_count(), kInvalidOverlayLink);
+  return net::shortest_path_tree(
+      peer_count(), src, kInvalidOverlayLink, [this](PeerId u, auto&& relax) {
+        for (const OverlayAdjacency& adj : neighbors(u)) {
+          if (!alive_[adj.neighbor]) continue;
+          relax(adj.neighbor, adj.link, links_[adj.link].delay_ms);
+        }
+      });
 }
 
-const OverlayNetwork::RouteTree& OverlayNetwork::tree_for(PeerId src) {
-  auto it = tree_cache_.find(src);
-  if (it != tree_cache_.end()) {
-    tree_lru_.splice(tree_lru_.begin(), tree_lru_, it->second.lru);
-    return it->second;
-  }
-  // LRU, never the queried source: `src` is not cached, so the evicted
-  // back of the recency list cannot be it. Tree eviction does not bump
-  // the epoch — materialized paths own their data.
-  while (tree_cache_.size() >= tree_cache_limit_ && !tree_lru_.empty()) {
-    tree_cache_.erase(tree_lru_.back());
-    tree_lru_.pop_back();
-  }
-  ++trees_computed_;
-  tree_lru_.push_front(src);
-  it = tree_cache_.emplace(src, compute_tree(src)).first;
-  it->second.lru = tree_lru_.begin();
-  return it->second;
-}
-
-OverlayPath OverlayNetwork::materialize(PeerId src, PeerId dst,
+OverlayPath OverlayNetwork::materialize(PeerId dst,
                                         const RouteTree& tree) const {
   OverlayPath path;
-  if (tree.dist[dst] == std::numeric_limits<double>::infinity()) return path;
+  if (!tree.reachable(dst)) return path;
   path.valid = true;
   path.delay_ms = tree.dist[dst];
-  PeerId cur = dst;
-  while (cur != src) {
-    const OverlayLinkId li = tree.parent[cur];
+  tree.walk(dst, [&](OverlayLinkId li, PeerId cur) {
     path.links.push_back(li);
     path.capacity_kbps = std::min(path.capacity_kbps, links_[li].capacity_kbps);
-    cur = links_[li].other(cur);
-  }
+    return links_[li].other(cur);
+  });
   std::reverse(path.links.begin(), path.links.end());
   return path;
 }
 
 OverlayPathRef OverlayNetwork::route(PeerId src, PeerId dst) {
   SPIDER_REQUIRE(src < peer_count() && dst < peer_count());
-  const util::PairKey<PeerId, PeerId> key{src, dst};
-  auto it = path_cache_.find(key);
-  if (it != path_cache_.end()) {
-    path_lru_.splice(path_lru_.begin(), path_lru_, it->second.lru);
-    return OverlayPathRef(&it->second.path, this, route_epoch_);
-  }
-  OverlayPath path = materialize(src, dst, tree_for(src));
-  ++paths_built_;
-  // Second-chance-free bounded LRU: evict the coldest pair(s). The cap is
-  // >= 2 and the new entry lands at the front, so the path handed back is
-  // never evicted by a subsequent insertion alone.
-  while (path_cache_.size() >= path_cache_limit_ && !path_lru_.empty()) {
-    path_cache_.erase(path_lru_.back());
-    path_lru_.pop_back();
-    ++route_epoch_;  // outstanding refs may now dangle: debug-check them
-  }
-  path_lru_.push_front(key);
-  it = path_cache_.emplace(key, CachedPath{std::move(path), path_lru_.begin()})
-           .first;
-  return OverlayPathRef(&it->second.path, this, route_epoch_);
+  // Tree eviction does not invalidate handles (materialized paths own
+  // their data); a path eviction bumps route_epoch().
+  const OverlayPath& path = path_cache_.get({src, dst}, [&] {
+    return materialize(
+        dst, tree_cache_.get(src, [&] { return compute_tree(src); }));
+  });
+  return OverlayPathRef(&path, this, route_epoch());
 }
 
 double OverlayNetwork::delay_ms(PeerId src, PeerId dst) {
@@ -435,50 +376,30 @@ double OverlayNetwork::estimated_delay_ms(PeerId src, PeerId dst) {
   return delay_ms(src, dst);
 }
 
-net::LandmarkTable::Column OverlayNetwork::overlay_sssp_column(
-    std::uint32_t target) const {
-  const RouteTree tree = compute_tree(PeerId(target));
+net::LandmarkTable::Column OverlayNetwork::sssp_column(PeerId target) const {
   net::LandmarkTable::Column col;
   col.target = target;
-  col.delay_ms = tree.dist;  // overlay layer: delays only
+  col.delay_ms = compute_tree(target).dist;  // overlay layer: delays only
   return col;
 }
 
 void OverlayNetwork::build_estimator(std::size_t landmark_count,
                                      std::size_t jobs) {
   SPIDER_REQUIRE(landmark_count >= 1);
-  // overlay_sssp_column computes a fresh tree without touching the route
-  // caches, so concurrent columns are safe.
+  // sssp_column computes a fresh tree without touching the route caches,
+  // so concurrent columns are safe.
   estimator_ = std::make_unique<net::LandmarkTable>(net::LandmarkTable::build(
       peer_count(), landmark_count,
-      [this](std::uint32_t target) { return overlay_sssp_column(target); },
-      jobs));
+      [this](std::uint32_t target) { return sssp_column(target); }, jobs));
 }
 
 bool OverlayNetwork::live_connected() const {
-  if (live_count_ == 0) return false;
-  PeerId start = kInvalidPeer;
-  for (PeerId p = 0; p < peer_count(); ++p) {
-    if (alive_[p]) {
-      start = p;
-      break;
-    }
-  }
-  std::vector<bool> visited(peer_count(), false);
-  std::vector<PeerId> stack{start};
-  visited[start] = true;
-  std::size_t reached = 1;
-  while (!stack.empty()) {
-    const PeerId u = stack.back();
-    stack.pop_back();
-    for (const OverlayAdjacency& adj : neighbors(u)) {
-      if (alive_[adj.neighbor] && !visited[adj.neighbor]) {
-        visited[adj.neighbor] = true;
-        ++reached;
-        stack.push_back(adj.neighbor);
-      }
-    }
-  }
+  const auto first_live = std::find(alive_.begin(), alive_.end(), true);
+  if (first_live == alive_.end()) return false;
+  // Connected means route() reaches every live peer from one of them.
+  const RouteTree tree = compute_tree(PeerId(first_live - alive_.begin()));
+  std::size_t reached = 0;
+  for (PeerId p = 0; p < peer_count(); ++p) reached += tree.reachable(p);
   return reached == live_count_;
 }
 

@@ -25,19 +25,20 @@
 // reservations) is the core allocator's job.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <list>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/landmark.hpp"
 #include "net/planetlab.hpp"
 #include "net/router.hpp"
+#include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
 #include "util/keys.hpp"
+#include "util/lru_cache.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -181,29 +182,30 @@ class OverlayNetwork {
   /// bounded per-pair LRU cache; see OverlayPathRef for its lifetime.
   OverlayPathRef route(PeerId src, PeerId dst);
 
-  /// Caps the number of sources with cached Dijkstra trees (default:
-  /// unbounded, preserving exact historical route results). Eviction is
-  /// LRU — never the source being queried, never the whole cache (the
-  /// old epoch-clear evicted its own hot source, thrashing on
-  /// alternating sources). Memory/recompute cost only, never results.
+  /// Caps the number of sources with cached Dijkstra trees (util::LruCache
+  /// policy, minimum 1, default unbounded). Memory/recompute cost only.
   void set_route_cache_limit(std::size_t max_sources) {
-    tree_cache_limit_ = max_sources == 0 ? 1 : max_sources;
+    tree_cache_.set_capacity(max_sources);
   }
 
   /// Caps the per-(src,dst) materialized-path LRU (min 2, so the path
-  /// just returned is never evicted by its own insertion).
+  /// just returned survives the next pair's insertion).
   void set_route_path_cache_limit(std::size_t max_paths) {
-    path_cache_limit_ = max_paths < 2 ? 2 : max_paths;
+    path_cache_.set_capacity(std::max<std::size_t>(max_paths, 2));
   }
 
   /// Recompute/regression counters: Dijkstra trees built and paths
   /// materialized since construction. A thrashing capped cache shows up
   /// as trees_computed growing with queries instead of distinct sources.
-  std::uint64_t route_trees_computed() const { return trees_computed_; }
-  std::uint64_t route_paths_materialized() const { return paths_built_; }
+  std::uint64_t route_trees_computed() const { return tree_cache_.misses(); }
+  std::uint64_t route_paths_materialized() const {
+    return path_cache_.misses();
+  }
   /// Epoch of the path cache: bumped whenever a cached path is evicted or
-  /// the caches are cleared. OverlayPathRef DCHECKs against it.
-  std::uint64_t route_epoch() const { return route_epoch_; }
+  /// the caches are cleared. OverlayPathRef checks against it.
+  std::uint64_t route_epoch() const {
+    return route_cache_clears_ + path_cache_.evictions();
+  }
 
   /// Exact direct-delay lookup: the routed min-delay path's delay
   /// (infinity if unreachable). Computes a Dijkstra tree on a cache miss.
@@ -230,9 +232,7 @@ class OverlayNetwork {
   /// Dijkstra tree without touching the route caches, so concurrent calls
   /// are safe; build_estimator and CommunityMap::build both feed it to
   /// net::LandmarkTable::build.
-  net::LandmarkTable::Column sssp_column(PeerId target) const {
-    return overlay_sssp_column(target);
-  }
+  net::LandmarkTable::Column sssp_column(PeerId target) const;
 
   /// True if the overlay graph restricted to live peers is connected.
   bool live_connected() const;
@@ -242,17 +242,10 @@ class OverlayNetwork {
   void build_adjacency();
 
   /// Single-source Dijkstra over live peers: parallel dist/parent arrays.
-  struct RouteTree {
-    std::vector<double> dist;
-    std::vector<OverlayLinkId> parent;
-    std::list<PeerId>::iterator lru;
-  };
+  using RouteTree = net::ShortestPathTree<OverlayLinkId>;
 
-  const RouteTree& tree_for(PeerId src);
   RouteTree compute_tree(PeerId src) const;
-  OverlayPath materialize(PeerId src, PeerId dst, const RouteTree& tree) const;
-  void clear_route_caches();
-  net::LandmarkTable::Column overlay_sssp_column(std::uint32_t target) const;
+  OverlayPath materialize(PeerId dst, const RouteTree& tree) const;
 
   std::vector<net::NodeIdx> peer_node_;
   std::vector<OverlayLink> links_;
@@ -264,24 +257,11 @@ class OverlayNetwork {
 
   // Lazy exact routing state: per-source Dijkstra trees (12 bytes/peer,
   // not n OverlayPath objects) in a source-LRU, plus a bounded LRU of
-  // materialized per-pair paths. Both invalidated on liveness changes.
-  std::unordered_map<PeerId, RouteTree> tree_cache_;
-  std::list<PeerId> tree_lru_;  // most-recently-queried source first
-  std::size_t tree_cache_limit_ = std::size_t(-1);
-
-  struct CachedPath {
-    OverlayPath path;
-    std::list<util::PairKey<PeerId, PeerId>>::iterator lru;
-  };
-  std::unordered_map<util::PairKey<PeerId, PeerId>, CachedPath,
-                     util::PairKeyHash>
-      path_cache_;
-  std::list<util::PairKey<PeerId, PeerId>> path_lru_;
-  std::size_t path_cache_limit_ = 1u << 16;
-
-  std::uint64_t trees_computed_ = 0;
-  std::uint64_t paths_built_ = 0;
-  std::uint64_t route_epoch_ = 0;
+  // materialized per-pair paths. Both cleared on liveness changes.
+  util::LruCache<PeerId, RouteTree> tree_cache_;
+  util::LruCache<util::PairKey<PeerId, PeerId>, OverlayPath, util::PairKeyHash>
+      path_cache_{std::size_t(1) << 16};
+  std::uint64_t route_cache_clears_ = 0;
 
   std::unique_ptr<net::LandmarkTable> estimator_;
 };

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <ostream>
 #include <vector>
 
 #include "core/bcp.hpp"
@@ -280,6 +281,14 @@ struct PropertyParams {
   double w0, w1;
   bool retry;
 };
+
+// Names each case in test listings (e.g. `seed3_w2-1_retry`); gtest's
+// default would dump the raw bytes, padding included, which change from
+// build to build.
+void PrintTo(const PropertyParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_w" << p.w0 << "-" << p.w1
+      << (p.retry ? "_retry" : "_noretry");
+}
 
 class AdmissionClassProperty
     : public ::testing::TestWithParam<PropertyParams> {};

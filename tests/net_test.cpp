@@ -209,7 +209,9 @@ TEST(PlanetLab, MatrixIsSymmetricWithZeroDiagonal) {
     EXPECT_DOUBLE_EQ(model.delay_ms(i, i), 0.0);
     for (std::size_t j = 0; j < 20; ++j) {
       EXPECT_DOUBLE_EQ(model.delay_ms(i, j), model.delay_ms(j, i));
-      if (i != j) EXPECT_GT(model.delay_ms(i, j), 0.0);
+      if (i != j) {
+        EXPECT_GT(model.delay_ms(i, j), 0.0);
+      }
     }
   }
 }

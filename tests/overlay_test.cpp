@@ -1,11 +1,17 @@
 // Tests for the overlay layer: construction from IP topology and PlanetLab
-// matrices, metric inheritance, routing around dead peers, cache
-// invalidation on liveness changes.
+// matrices, metric inheritance, routing around dead peers against a
+// brute-force oracle, the shortest-path tie-break, cache invalidation on
+// liveness changes.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "net/generator.hpp"
 #include "net/planetlab.hpp"
 #include "net/router.hpp"
+#include "net/shortest_paths.hpp"
 #include "overlay/overlay.hpp"
 #include "util/rng.hpp"
 
@@ -207,6 +213,111 @@ TEST(Overlay, RouteDelayTriangleSanity) {
     EXPECT_LE(ov.delay_ms(0, adj.neighbor),
               ov.link(adj.link).delay_ms + 1e-9);
   }
+}
+
+// Independent reference: Floyd–Warshall over live peers and the links
+// between them (infinity where unreachable, including from a dead peer).
+std::vector<std::vector<double>> live_all_pairs(const OverlayNetwork& ov) {
+  const std::size_t n = ov.peer_count();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> d(n, std::vector<double>(n, kInf));
+  for (PeerId p = 0; p < n; ++p) {
+    if (ov.alive(p)) d[p][p] = 0.0;
+  }
+  for (OverlayLinkId l = 0; l < ov.link_count(); ++l) {
+    const OverlayLink& link = ov.link(l);
+    if (!ov.alive(link.a) || !ov.alive(link.b)) continue;
+    d[link.a][link.b] = std::min(d[link.a][link.b], link.delay_ms);
+    d[link.b][link.a] = std::min(d[link.b][link.a], link.delay_ms);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+      }
+    }
+  }
+  return d;
+}
+
+TEST(Overlay, RouteMatchesBruteForceUnderChurn) {
+  for (std::uint64_t seed : {31, 32, 33}) {
+    for (OverlayKind kind : {OverlayKind::kNearestMesh, OverlayKind::kRandom}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " kind " << int(kind));
+      Rng rng(seed);
+      OverlayNetwork ov = make_overlay(rng, 200, 30, kind);
+      Rng churn(seed + 1000);
+      for (int round = 0; round < 5; ++round) {
+        // Kill three random peers and revive one: dead endpoints, dead
+        // relays and (sometimes) partitions all occur.
+        for (int i = 0; i < 3; ++i) {
+          ov.set_alive(PeerId(churn.next_below(ov.peer_count())), false);
+        }
+        ov.set_alive(PeerId(churn.next_below(ov.peer_count())), true);
+        const auto d = live_all_pairs(ov);
+        for (PeerId u = 0; u < ov.peer_count(); ++u) {
+          for (PeerId v = 0; v < ov.peer_count(); ++v) {
+            const OverlayPath path = *ov.route(u, v);
+            const bool reachable =
+                d[u][v] < std::numeric_limits<double>::infinity();
+            ASSERT_EQ(path.valid, reachable) << u << " -> " << v;
+            if (!reachable) continue;
+            EXPECT_NEAR(path.delay_ms, d[u][v], 1e-9) << u << " -> " << v;
+            // The link chain is a live u -> v path summing to the delay.
+            PeerId cur = u;
+            double sum = 0.0;
+            double capacity = std::numeric_limits<double>::infinity();
+            for (OverlayLinkId l : path.links) {
+              const OverlayLink& link = ov.link(l);
+              ASSERT_TRUE(link.a == cur || link.b == cur);
+              cur = link.other(cur);
+              ASSERT_TRUE(ov.alive(cur));
+              sum += link.delay_ms;
+              capacity = std::min(capacity, link.capacity_kbps);
+            }
+            EXPECT_EQ(cur, v);
+            EXPECT_NEAR(sum, path.delay_ms, 1e-9);
+            EXPECT_DOUBLE_EQ(capacity, path.capacity_kbps);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Two equal-delay paths 0-1-3 and 0-2-3, with 0's edge to 2 listed first.
+// The kernel keeps 0-1-3: equal delays leave the frontier lowest node
+// first (first-queued would pick 2), and an equal-delay relaxation never
+// replaces a parent (`<=` would switch 3 to 2). Every layer and any
+// point-to-point mode must keep this tie-break for outputs to stay
+// byte-identical.
+TEST(ShortestPathKernel, EqualDelayTieGoesToTheLowerNodeFirstFound) {
+  struct Edge {
+    std::uint32_t to, id;
+    double delay_ms;
+  };
+  const std::vector<std::vector<Edge>> adj = {
+      {{2, 0, 1.0}, {1, 1, 1.0}},
+      {{0, 1, 1.0}, {3, 3, 1.0}},
+      {{0, 0, 1.0}, {3, 2, 1.0}},
+      {{2, 2, 1.0}, {1, 3, 1.0}}};
+  const auto tree = net::shortest_path_tree(
+      adj.size(), 0, std::uint32_t(-1), [&](std::uint32_t u, auto&& relax) {
+        for (const Edge& e : adj[u]) relax(e.to, e.id, e.delay_ms);
+      });
+  EXPECT_DOUBLE_EQ(tree.dist[3], 2.0);
+  EXPECT_EQ(tree.parent[3], 3u);  // edge 1-3
+  EXPECT_EQ(tree.parent[1], 1u);
+  EXPECT_EQ(tree.parent[2], 0u);
+
+  // The IP layer runs the same kernel over the same graph.
+  net::Topology topo(4, {{0, 2, 1.0, 100.0},
+                         {0, 1, 1.0, 100.0},
+                         {2, 3, 1.0, 100.0},
+                         {1, 3, 1.0, 100.0}});
+  net::Router router(topo);
+  EXPECT_EQ(router.from(0).path_to(3), (std::vector<net::NodeIdx>{0, 1, 3}));
 }
 
 TEST(Overlay, TreeCacheLruNeverThrashesTheQueriedSource) {

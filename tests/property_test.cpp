@@ -9,6 +9,7 @@
 //     hold hygiene, QoS soundness, budget monotonicity across seeds
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "core/bcp.hpp"
@@ -25,6 +26,15 @@ namespace {
 // ---------------------------------------------------------------- routing
 
 enum class Gen { kPowerLaw, kWaxman, kRandom };
+
+// Names each case in test listings; gtest's default is a raw byte dump.
+void PrintTo(Gen kind, std::ostream* os) {
+  switch (kind) {
+    case Gen::kPowerLaw: *os << "PowerLaw"; return;
+    case Gen::kWaxman: *os << "Waxman"; return;
+    case Gen::kRandom: *os << "Random"; return;
+  }
+}
 
 class RoutingProperty
     : public ::testing::TestWithParam<std::tuple<Gen, std::size_t, int>> {};

@@ -1,5 +1,6 @@
 // Unit tests for src/util: RNG determinism and distribution sanity,
-// statistics, SHA-1 known-answer vectors, worker-pool semantics.
+// statistics, SHA-1 known-answer vectors, worker-pool semantics, the LRU
+// cache policy.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,9 +10,11 @@
 #include <unordered_set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/hash.hpp"
 #include "util/keys.hpp"
+#include "util/lru_cache.hpp"
 #include "util/parallel.hpp"
 #include "util/procstat.hpp"
 #include "util/rng.hpp"
@@ -369,6 +372,80 @@ TEST(Keys, PairKeyWorksAsUnorderedMapKey) {
   m[{2, 4}] = 24;
   EXPECT_EQ(m.size(), 2u);
   EXPECT_EQ((m[{4, 2}]), 42);
+}
+
+// Returns get(key) on `cache`, computing the value as key * 10.
+int& lru_get(util::LruCache<int, int>& cache, int key) {
+  return cache.get(key, [key] { return key * 10; });
+}
+
+TEST(LruCache, EvictsTheColdestEntry) {
+  util::LruCache<int, int> cache(3);
+  for (int k : {1, 2, 3}) lru_get(cache, k);
+  lru_get(cache, 1);  // hit: 2 is now the coldest
+  EXPECT_EQ(cache.misses(), 3u);
+  lru_get(cache, 4);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  for (int k : {1, 3, 4}) EXPECT_EQ(lru_get(cache, k), k * 10);
+  EXPECT_EQ(cache.misses(), 4u) << "1, 3 and 4 survived the eviction";
+  EXPECT_EQ(lru_get(cache, 2), 20);  // the victim is recomputed
+  EXPECT_EQ(cache.misses(), 5u);
+  // Recency after the hits above was 4, 3, 1: inserting 2 evicted 1.
+  for (int k : {2, 3, 4}) lru_get(cache, k);
+  EXPECT_EQ(cache.misses(), 5u);
+  lru_get(cache, 1);
+  EXPECT_EQ(cache.misses(), 6u);
+}
+
+TEST(LruCache, NeverEvictsTheKeyJustInserted) {
+  util::LruCache<int, int> cache(0);  // floor: one entry
+  for (int k = 0; k < 5; ++k) {
+    EXPECT_EQ(lru_get(cache, k), k * 10);
+    EXPECT_EQ(cache.size(), 1u);
+  }
+  EXPECT_EQ(cache.evictions(), 4u);
+  lru_get(cache, 4);  // the last key inserted is the one kept
+  EXPECT_EQ(cache.misses(), 5u);
+}
+
+TEST(LruCache, ReferencesToSurvivingEntriesStayValid) {
+  util::LruCache<int, std::vector<int>> bounded(3);
+  std::vector<int>& hot = bounded.get(0, [] { return std::vector<int>{7}; });
+  for (int k = 1; k < 200; ++k) {
+    // Touching 0 before each insertion keeps it out of the victim slot.
+    EXPECT_EQ(&bounded.get(0, [] { return std::vector<int>{}; }), &hot);
+    bounded.get(k, [k] { return std::vector<int>{k}; });
+  }
+  EXPECT_EQ(hot, std::vector<int>{7});
+  EXPECT_EQ(bounded.evictions(), 197u);
+
+  // Unbounded: many insertions rehash the index; the entry never moves.
+  util::LruCache<int, int> unbounded;
+  int& first = lru_get(unbounded, 0);
+  for (int k = 1; k < 1000; ++k) lru_get(unbounded, k);
+  EXPECT_EQ(&lru_get(unbounded, 0), &first);
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(unbounded.evictions(), 0u);
+}
+
+TEST(LruCache, CountsEvictionsExactly) {
+  util::LruCache<int, int> cache(4);
+  for (int k = 0; k < 10; ++k) lru_get(cache, k);
+  EXPECT_EQ(cache.misses(), 10u);
+  EXPECT_EQ(cache.evictions(), 6u);
+  // A lower cap evicts down to it at the next miss, one count per entry.
+  cache.set_capacity(2);
+  EXPECT_EQ(cache.size(), 4u);
+  lru_get(cache, 10);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 9u);
+  // clear() drops entries without counting them; misses keep counting.
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.evictions(), 9u);
+  lru_get(cache, 10);
+  EXPECT_EQ(cache.misses(), 12u);
 }
 
 }  // namespace
