@@ -282,6 +282,14 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t cell_index,
   return result;
 }
 
+/// Appends `, "key": value` for every kTrafficCounters row.
+void write_traffic_counts(std::FILE* jf, const workload::TrafficCounts& c) {
+  for (const auto& row : workload::kTrafficCounters) {
+    std::fprintf(jf, ", \"%s\": %llu", row.metric,
+                 (unsigned long long)(c.*row.field));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -363,7 +371,7 @@ int main(int argc, char** argv) {
         r.leaked_grants, r.leaked_holds, r.audit_conserved ? "yes" : "no");
     if (r.traffic.classes.size() > 1) {
       for (std::size_t cls = 0; cls < r.traffic.classes.size(); ++cls) {
-        const workload::ClassTrafficStats& cs = r.traffic.classes[cls];
+        const workload::TrafficCounts& cs = r.traffic.classes[cls];
         std::printf(
             "cell %-12s   class %zu (%s): arrivals=%llu retries=%llu "
             "admitted=%llu queued=%llu rejected=%llu served=%llu "
@@ -463,28 +471,20 @@ int main(int argc, char** argv) {
   bool first = true;
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     for (const workload::PhaseStats& ps : results[ci].traffic.phases) {
+      std::fprintf(jf, "%s    {\"cell\": \"%s\", \"phase\": \"%s\"",
+                   first ? "" : ",\n", cells[ci].name.c_str(), ps.name.c_str());
+      write_traffic_counts(jf, ps);
       std::fprintf(
           jf,
-          "%s    {\"cell\": \"%s\", \"phase\": \"%s\", \"arrivals\": %llu, "
-          "\"retries\": %llu, \"admitted\": %llu, \"queued\": %llu, "
-          "\"rejected\": %llu, \"queue_served\": %llu, "
-          "\"queue_timeouts\": %llu, \"retry_gaveups\": %llu, "
-          "\"compose_failures\": %llu, \"established\": %llu, "
-          "\"completed\": %llu, \"setup_p50_ms\": %.3f, "
-          "\"setup_p99_ms\": %.3f, \"queue_wait_mean_ms\": %.3f, "
+          ", \"compose_failures\": %llu, \"completed\": %llu, "
+          "\"setup_p50_ms\": %.3f, \"setup_p99_ms\": %.3f, "
+          "\"queue_wait_mean_ms\": %.3f, "
           "\"queue_wait_p99_ms\": %.3f, \"util_peak\": %.4f, "
           "\"admission_mark\": %.4f, \"breaks\": %llu, "
           "\"backup_switches\": %llu, \"reactive_recoveries\": %llu, "
           "\"losses\": %llu, \"probe_messages\": %llu}",
-          first ? "" : ",\n", cells[ci].name.c_str(), ps.name.c_str(),
-          (unsigned long long)ps.arrivals, (unsigned long long)ps.retries,
-          (unsigned long long)ps.admitted, (unsigned long long)ps.queued,
-          (unsigned long long)ps.rejected,
-          (unsigned long long)ps.queue_served,
-          (unsigned long long)ps.queue_timeouts,
-          (unsigned long long)ps.retry_gaveups,
           (unsigned long long)ps.compose_failures,
-          (unsigned long long)ps.established, (unsigned long long)ps.completed,
+          (unsigned long long)ps.completed,
           ps.setup_ms.empty() ? 0.0 : ps.setup_ms.percentile(50.0),
           ps.setup_ms.empty() ? 0.0 : ps.setup_ms.percentile(99.0),
           ps.queue_wait_ms.empty() ? 0.0 : ps.queue_wait_ms.mean(),
@@ -525,22 +525,10 @@ int main(int argc, char** argv) {
         r.traffic.quiesced_at_ms, r.leaked_grants, r.leaked_holds,
         r.audit_conserved ? "true" : "false", r.wall_ms);
     for (std::size_t cls = 0; cls < r.traffic.classes.size(); ++cls) {
-      const workload::ClassTrafficStats& cs = r.traffic.classes[cls];
-      std::fprintf(
-          jf,
-          "%s{\"class\": %zu, \"arrivals\": %llu, \"retries\": %llu, "
-          "\"admitted\": %llu, \"queued\": %llu, \"rejected\": %llu, "
-          "\"queue_served\": %llu, \"queue_timeouts\": %llu, "
-          "\"retry_gaveups\": %llu, \"established\": %llu, "
-          "\"drr_skips\": %llu}",
-          cls == 0 ? "" : ", ", cls, (unsigned long long)cs.arrivals,
-          (unsigned long long)cs.retries, (unsigned long long)cs.admitted,
-          (unsigned long long)cs.queued, (unsigned long long)cs.rejected,
-          (unsigned long long)cs.queue_served,
-          (unsigned long long)cs.queue_timeouts,
-          (unsigned long long)cs.retry_gaveups,
-          (unsigned long long)cs.established,
-          (unsigned long long)r.class_skips[cls]);
+      std::fprintf(jf, "%s{\"class\": %zu", cls == 0 ? "" : ", ", cls);
+      write_traffic_counts(jf, r.traffic.classes[cls]);
+      std::fprintf(jf, ", \"drr_skips\": %llu}",
+                   (unsigned long long)r.class_skips[cls]);
     }
     std::fprintf(jf, "]}%s\n", ci + 1 < cells.size() ? "," : "");
   }

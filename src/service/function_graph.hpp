@@ -40,17 +40,6 @@ class FunctionGraph {
   /// Declares that the composition order of u and v may be exchanged.
   void add_commutation(FnNode u, FnNode v);
 
-  /// Marks `n` as a *conditional split* (the paper's §8 future-work
-  /// semantics): at runtime each ADU leaving `n` takes exactly ONE of its
-  /// outgoing dependency edges (content-based dispatch), instead of being
-  /// replicated to all successors. Composition still provisions and
-  /// QoS-qualifies every alternative (any ADU may take any branch);
-  /// downstream joins consume one ADU from ANY input. Commutation
-  /// exchanges do not move conditional marks.
-  void mark_conditional(FnNode n);
-  bool is_conditional(FnNode n) const;
-  const std::vector<FnNode>& conditionals() const { return conditionals_; }
-
   std::size_t node_count() const { return functions_.size(); }
   FunctionId function(FnNode n) const { return functions_.at(n); }
   const std::vector<std::pair<FnNode, FnNode>>& dependencies() const {
@@ -94,7 +83,6 @@ class FunctionGraph {
   std::vector<FunctionId> functions_;
   std::vector<std::pair<FnNode, FnNode>> deps_;
   std::vector<std::pair<FnNode, FnNode>> comms_;
-  std::vector<FnNode> conditionals_;
 };
 
 /// Convenience: linear chain over the given function ids, in order.

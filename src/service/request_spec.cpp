@@ -1,5 +1,7 @@
 #include "service/request_spec.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -38,9 +40,23 @@ std::vector<std::string> split_on(const std::string& text,
   }
 }
 
+/// One finite number and nothing after it: "nan", "inf" and values that
+/// overflow a double are rejected.
 bool parse_number(const std::string& text, double* out) {
   char extra = 0;
-  return std::sscanf(text.c_str(), "%lg %c", out, &extra) == 1;
+  return std::sscanf(text.c_str(), "%lg %c", out, &extra) == 1 &&
+         std::isfinite(*out);
+}
+
+/// A quality level: a whole number that fits the request's uint32 field.
+bool parse_level(const std::string& text, std::uint32_t* out) {
+  double value = 0.0;
+  if (!parse_number(text, &value) || value < 0.0 ||
+      value > double(UINT32_MAX) || value != std::floor(value)) {
+    return false;
+  }
+  *out = std::uint32_t(value);
+  return true;
 }
 
 }  // namespace
@@ -53,9 +69,8 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
   std::vector<std::string> node_names;
   std::vector<std::pair<std::string, std::string>> edges;
   std::vector<std::pair<std::string, std::string>> commutes;
-  std::vector<std::string> conditionals;
   double delay = -1.0, loss = 0.0, bandwidth = 0.0, failure = 1.0;
-  double source_level = 0.0, dest_level = 0.0;
+  std::uint32_t source_level = 0, dest_level = 0;
   bool have_delay = false;
 
   auto node_index = [&](const std::string& name) -> int {
@@ -118,8 +133,6 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
         return std::nullopt;
       }
       commutes.emplace_back(pair[0], pair[1]);
-    } else if (key == "conditional") {
-      conditionals.push_back(value);
     } else if (key == "delay") {
       if (!parse_number(value, &delay) || delay <= 0.0) {
         fail(error, line_no, "delay must be a positive number (ms)");
@@ -142,13 +155,15 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
         return std::nullopt;
       }
     } else if (key == "source-level") {
-      if (!parse_number(value, &source_level) || source_level < 0.0) {
-        fail(error, line_no, "source-level must be >= 0");
+      if (!parse_level(value, &source_level)) {
+        fail(error, line_no,
+             "source-level must be a whole number in [0, 4294967295]");
         return std::nullopt;
       }
     } else if (key == "dest-level") {
-      if (!parse_number(value, &dest_level) || dest_level < 0.0) {
-        fail(error, line_no, "dest-level must be >= 0");
+      if (!parse_level(value, &dest_level)) {
+        fail(error, line_no,
+             "dest-level must be a whole number in [0, 4294967295]");
         return std::nullopt;
       }
     } else {
@@ -166,7 +181,7 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
     return std::nullopt;
   }
 
-  // Resolve commutation/conditional names against declared nodes.
+  // Resolve commutation names against declared nodes.
   auto find_node = [&](const std::string& name) -> int {
     for (std::size_t i = 0; i < node_names.size(); ++i) {
       if (node_names[i] == name) return int(i);
@@ -190,15 +205,6 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
     }
     graph.add_commutation(FnNode(iu), FnNode(iv));
   }
-  for (const std::string& name : conditionals) {
-    const int idx = find_node(name);
-    if (idx < 0) {
-      fail(error, line_no,
-           "conditional references undeclared function '" + name + "'");
-      return std::nullopt;
-    }
-    graph.mark_conditional(FnNode(idx));
-  }
   if (!graph.is_dag()) {
     fail(error, line_no, "dependency edges form a cycle");
     return std::nullopt;
@@ -208,8 +214,8 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
   out.request.qos_req = Qos::delay_loss(delay, loss_to_additive(loss));
   out.request.bandwidth_kbps = bandwidth;
   out.request.max_failure_prob = failure;
-  out.request.source_level = std::uint32_t(source_level);
-  out.request.min_dest_level = std::uint32_t(dest_level);
+  out.request.source_level = source_level;
+  out.request.min_dest_level = dest_level;
   out.function_names = std::move(node_names);
   return out;
 }

@@ -8,18 +8,19 @@
 //   edges: ingest -> denoise -> report      # chains expand pairwise
 //   edges: ingest -> calibrate -> report    # repeatable; names intern nodes
 //   commute: denoise ~ calibrate            # commutation link
-//   conditional: ingest                     # §8 conditional split mark
 //   delay: 2000                             # ms bound (required)
 //   loss: 0.05                              # loss-rate bound in [0,1)
 //   bandwidth: 300                          # kbps on service links
 //   failure: 0.2                            # F^req
-//   source-level: 2                         # §2.2 quality levels
-//   dest-level: 1
+//   source-level: 2                         # §2.2 quality levels: whole
+//   dest-level: 1                           #   numbers in [0, 2^32)
 //
 // Each distinct function name becomes one graph node (a composite request
-// uses a function at most once, matching the workload model). Unknown
-// keys, malformed lines, repeated nodes in an edge, or a cyclic result
-// produce a descriptive error instead of a partially parsed request.
+// uses a function at most once, matching the workload model). Numbers
+// must be finite ("nan" and "inf" are rejected). Unknown keys, malformed
+// lines, out-of-range numbers, repeated nodes in an edge, or a cyclic
+// result produce a descriptive error instead of a partially parsed
+// request.
 #pragma once
 
 #include <optional>

@@ -2,7 +2,7 @@
 //
 // The simulator is silent by default (benches print their own tables);
 // raise the level to kDebug to trace protocol decisions.  Thread-safe at
-// line granularity so the multithreaded runtime can share it.
+// line granularity so parallel campaign workers can share it.
 #pragma once
 
 #include <cstdarg>

@@ -232,8 +232,7 @@ const TrafficStats& TrafficDriver::run() {
       QueuedSetup entry = std::move(q.front());
       q.pop_front();
       alloc.admission_dequeued(sim.now() - entry.enqueued_at, cls);
-      ++stats_.phases[entry.phase].queue_timeouts;
-      ++stats_.classes[cls].queue_timeouts;
+      count(&TrafficCounts::queue_timeouts, entry.phase, cls);
       // accepting_ is already false, so this is a give-up (retries on) or
       // a plain close (retries off) — never a new backoff timer.
       finish_or_retry(std::move(entry.pending));
@@ -299,28 +298,19 @@ std::size_t TrafficDriver::draw_class() {
 void TrafficDriver::submit(PendingSetup p, bool is_retry) {
   const sim::Time now = scenario_->sim.now();
   const std::size_t phase = config_.schedule.phase_at(now);
-  PhaseStats& ps = stats_.phases[phase];
-  ClassTrafficStats& cs = stats_.classes[p.cls];
-  if (is_retry) {
-    ++ps.retries;
-    ++cs.retries;
-  } else {
-    ++ps.arrivals;
-    ++cs.arrivals;
-  }
+  count(is_retry ? &TrafficCounts::retries : &TrafficCounts::arrivals, phase,
+        p.cls);
   ++p.submissions;
   switch (scenario_->alloc->admit_setup(p.cls)) {
     case core::AllocationManager::AdmissionDecision::kAdmit:
-      ++ps.admitted;
-      ++cs.admitted;
+      count(&TrafficCounts::admitted, phase, p.cls);
       if (!p.gen.has_value()) {
         p.gen = sample_request(*scenario_, config_.profile);
       }
       attempt_setup(std::move(p), phase);
       break;
     case core::AllocationManager::AdmissionDecision::kQueue:
-      ++ps.queued;
-      ++cs.queued;
+      count(&TrafficCounts::queued, phase, p.cls);
       // Sample at enqueue time: the request's content draws stay in
       // decision order no matter when the queue drains.
       if (!p.gen.has_value()) {
@@ -331,8 +321,7 @@ void TrafficDriver::submit(PendingSetup p, bool is_retry) {
     case core::AllocationManager::AdmissionDecision::kReject:
       // Never sampled, never probed — the cheapest possible outcome,
       // which is the whole point of gating before composition.
-      ++ps.rejected;
-      ++cs.rejected;
+      count(&TrafficCounts::rejected, phase, p.cls);
       finish_or_retry(std::move(p));
       break;
   }
@@ -369,9 +358,14 @@ void TrafficDriver::finish_or_retry(PendingSetup p) {
 }
 
 void TrafficDriver::give_up(const PendingSetup& p, std::size_t phase) {
-  ++stats_.phases[phase].retry_gaveups;
-  ++stats_.classes[p.cls].retry_gaveups;
+  count(&TrafficCounts::retry_gaveups, phase, p.cls);
   --open_requests_;
+}
+
+void TrafficDriver::count(std::uint64_t TrafficCounts::*field,
+                          std::size_t phase, std::size_t cls) {
+  ++(stats_.phases[phase].*field);
+  ++(stats_.classes[cls].*field);
 }
 
 void TrafficDriver::attempt_setup(PendingSetup p, std::size_t phase) {
@@ -396,8 +390,7 @@ void TrafficDriver::attempt_setup(PendingSetup p, std::size_t phase) {
     --open_requests_;
     return;
   }
-  ++ps.established;
-  ++stats_.classes[p.cls].established;
+  count(&TrafficCounts::established, phase, p.cls);
   ps.setup_ms.add(setup_ms);
   alloc.admission_observe_setup(true, setup_ms);
   --open_requests_;
@@ -436,10 +429,8 @@ void TrafficDriver::drain_queue() {
     const double wait = now - entry.enqueued_at;
     alloc.admission_dequeued(wait, *cls);
     const std::size_t phase = config_.schedule.phase_at(now);
-    PhaseStats& ps = stats_.phases[phase];
-    ++ps.queue_served;
-    ++stats_.classes[*cls].queue_served;
-    ps.queue_wait_ms.add(wait);
+    count(&TrafficCounts::queue_served, phase, *cls);
+    stats_.phases[phase].queue_wait_ms.add(wait);
     attempt_setup(std::move(entry.pending), phase);
   }
 }
@@ -456,8 +447,7 @@ void TrafficDriver::expire_queue_waits() {
       alloc.admission_dequeued(now - entry.enqueued_at, cls);
       // Attributed to the phase that enqueued it: that arrival is the one
       // that experienced the abandonment.
-      ++stats_.phases[entry.phase].queue_timeouts;
-      ++stats_.classes[cls].queue_timeouts;
+      count(&TrafficCounts::queue_timeouts, entry.phase, cls);
       finish_or_retry(std::move(entry.pending));
     }
   }

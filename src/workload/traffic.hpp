@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/session.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -149,26 +150,45 @@ struct SessionLifetime {
   double sample(Rng& rng) const;
 };
 
-/// Per-phase accounting of one open-loop run. Arrival-side fields are
-/// attributed to the phase the arrival happened in; completion-side
-/// fields to the phase of the completion (drain-window events land in
-/// the last phase). Retries count as fresh submissions in the phase the
-/// backoff timer fired in (they are new load on the gate), but never as
-/// arrivals — `arrivals` stays the offered first-contact load.
-struct PhaseStats {
-  std::string name;
-  double begin_ms = 0.0, end_ms = 0.0;
+/// The admission-path counters of an open-loop run, kept once per phase
+/// and once per admission class. Every event moves one phase slice and
+/// one class slice together, so phase totals equal class totals. Retries
+/// count as fresh submissions (they are new load on the gate), but never
+/// as arrivals — `arrivals` stays the offered first-contact load.
+struct TrafficCounts {
   std::uint64_t arrivals = 0;
-  std::uint64_t retries = 0;          ///< backoff re-submissions fired here
-  std::uint64_t retry_gaveups = 0;    ///< requests whose retry budget ran out
+  std::uint64_t retries = 0;          ///< backoff re-submissions fired
   std::uint64_t admitted = 0;         ///< setups attempted immediately
   std::uint64_t queued = 0;           ///< held back by the admission gate
   std::uint64_t rejected = 0;         ///< admission rejects (never probed)
   std::uint64_t queue_served = 0;     ///< queued setups later attempted
   std::uint64_t queue_timeouts = 0;   ///< queued setups that waited too long
+  std::uint64_t retry_gaveups = 0;    ///< requests whose retry budget ran out
+  std::uint64_t established = 0;
+};
+
+/// Every TrafficCounts counter and its key in bench JSON rows.
+inline constexpr obs::CounterField<TrafficCounts> kTrafficCounters[] = {
+    {"arrivals", &TrafficCounts::arrivals},
+    {"retries", &TrafficCounts::retries},
+    {"admitted", &TrafficCounts::admitted},
+    {"queued", &TrafficCounts::queued},
+    {"rejected", &TrafficCounts::rejected},
+    {"queue_served", &TrafficCounts::queue_served},
+    {"queue_timeouts", &TrafficCounts::queue_timeouts},
+    {"retry_gaveups", &TrafficCounts::retry_gaveups},
+    {"established", &TrafficCounts::established},
+};
+
+/// Per-phase accounting of one open-loop run. Arrival-side fields are
+/// attributed to the phase the arrival happened in (a retry to the phase
+/// its backoff timer fired in); completion-side fields to the phase of
+/// the completion (drain-window events land in the last phase).
+struct PhaseStats : TrafficCounts {
+  std::string name;
+  double begin_ms = 0.0, end_ms = 0.0;
   /// BCP found no qualified graph, or a hold expired before confirm.
   std::uint64_t compose_failures = 0;
-  std::uint64_t established = 0;
   std::uint64_t completed = 0;        ///< natural lifetime teardowns
   SampleStats setup_ms;               ///< virtual setup latency (successes)
   SampleStats queue_wait_ms;          ///< virtual wait of served queue entries
@@ -183,26 +203,12 @@ struct PhaseStats {
   std::uint64_t probe_messages = 0;   ///< BCP messages spent in this phase
 };
 
-/// Per-admission-class totals over a whole run (slices of the same events
-/// the PhaseStats count; `arrivals` excludes retries, like the phases).
-struct ClassTrafficStats {
-  std::uint64_t arrivals = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t queued = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t queue_served = 0;
-  std::uint64_t queue_timeouts = 0;
-  std::uint64_t retry_gaveups = 0;
-  std::uint64_t established = 0;
-};
-
 /// Whole-run accounting (see PhaseStats for the per-phase slices).
 struct TrafficStats {
   std::vector<PhaseStats> phases;
-  /// One entry per admission class (a single entry when no classes were
-  /// configured).
-  std::vector<ClassTrafficStats> classes;
+  /// Whole-run totals per admission class (a single entry when no classes
+  /// were configured).
+  std::vector<TrafficCounts> classes;
   std::uint64_t forced_teardowns = 0;  ///< alive past the drain window
   double quiesced_at_ms = 0.0;         ///< virtual time the world went quiet
   core::SessionManager::AuditReport final_audit;
@@ -309,6 +315,10 @@ class TrafficDriver {
   /// (counting a retry_gaveup when retries are enabled).
   void finish_or_retry(PendingSetup p);
   void give_up(const PendingSetup& p, std::size_t phase);
+  /// Counts one event in phase `phase` and class `cls` — the only place a
+  /// TrafficCounts counter moves.
+  void count(std::uint64_t TrafficCounts::*field, std::size_t phase,
+             std::size_t cls);
   /// Composes + establishes one setup, attributing results to phase
   /// `phase` (queue accounting is the dequeuer's job, not this one's).
   void attempt_setup(PendingSetup p, std::size_t phase);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <ostream>
 #include <vector>
 
@@ -293,6 +294,25 @@ void PrintTo(const PropertyParams& p, std::ostream* os) {
 class AdmissionClassProperty
     : public ::testing::TestWithParam<PropertyParams> {};
 
+// The conservation check below walks kTrafficCounters, so the table must
+// name every TrafficCounts field exactly once.
+constexpr bool one_row_per_traffic_counter() {
+  constexpr std::size_t rows = std::size(workload::kTrafficCounters);
+  if (rows * sizeof(std::uint64_t) != sizeof(workload::TrafficCounts)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (workload::kTrafficCounters[i].field ==
+          workload::kTrafficCounters[j].field) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+static_assert(one_row_per_traffic_counter());
+
 TEST_P(AdmissionClassProperty, PerClassArithmeticHoldsUnderChurn) {
   const PropertyParams param = GetParam();
   auto s = spider::testing::small_scenario(param.seed);
@@ -358,7 +378,7 @@ TEST_P(AdmissionClassProperty, PerClassArithmeticHoldsUnderChurn) {
   ASSERT_EQ(stats.classes.size(), 2u);
   std::uint64_t rejected = 0, timeouts = 0, retries = 0, gaveups = 0;
   for (std::size_t cls = 0; cls < 2; ++cls) {
-    const workload::ClassTrafficStats& cs = stats.classes[cls];
+    const workload::TrafficCounts& cs = stats.classes[cls];
     // Every queued entry reached exactly one outcome, per class.
     EXPECT_EQ(cs.queued, cs.queue_served + cs.queue_timeouts) << cls;
     // Every submission got exactly one decision.
@@ -383,14 +403,18 @@ TEST_P(AdmissionClassProperty, PerClassArithmeticHoldsUnderChurn) {
     EXPECT_EQ(retries, 0u);
     EXPECT_EQ(gaveups, 0u);
   }
-  // Phase totals agree with class totals (the same events, sliced twice).
-  std::uint64_t phase_retries = 0, phase_gaveups = 0;
-  for (const workload::PhaseStats& ps : stats.phases) {
-    phase_retries += ps.retries;
-    phase_gaveups += ps.retry_gaveups;
+  // Phase totals agree with class totals for every counter (the same
+  // events, sliced twice).
+  for (const auto& row : workload::kTrafficCounters) {
+    std::uint64_t by_phase = 0, by_class = 0;
+    for (const workload::PhaseStats& ps : stats.phases) {
+      by_phase += ps.*row.field;
+    }
+    for (const workload::TrafficCounts& cs : stats.classes) {
+      by_class += cs.*row.field;
+    }
+    EXPECT_EQ(by_phase, by_class) << row.metric;
   }
-  EXPECT_EQ(phase_retries, retries);
-  EXPECT_EQ(phase_gaveups, gaveups);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -11,7 +11,6 @@ constexpr const char* kFullSpec = R"(
 edges: ingest -> denoise -> report
 edges: ingest -> calibrate -> report
 commute: denoise ~ calibrate
-conditional: ingest
 delay: 2000
 loss: 0.05
 bandwidth: 300
@@ -35,8 +34,6 @@ TEST(RequestSpec, ParsesFullSpec) {
   EXPECT_EQ(parsed->function_names,
             (std::vector<std::string>{"ingest", "denoise", "report",
                                       "calibrate"}));
-  // Conditional mark on the ingest node (index 0).
-  EXPECT_TRUE(req.graph.is_conditional(0));
   // QoS and resource bounds.
   EXPECT_DOUBLE_EQ(req.qos_req.delay_ms(), 2000.0);
   EXPECT_NEAR(additive_to_loss(req.qos_req.loss_log()), 0.05, 1e-12);
@@ -80,6 +77,17 @@ TEST(RequestSpec, ReuseOfFunctionNameSharesNode) {
   EXPECT_EQ(parsed->request.graph.sinks().size(), 1u);
 }
 
+TEST(RequestSpec, LevelsAcceptWholeNumbersUpToUint32Max) {
+  FunctionCatalog catalog;
+  auto parsed = parse_request_spec(
+      "edges: x -> y\ndelay: 50\nsource-level: 4294967295\n"
+      "dest-level: 3.0\n",
+      catalog);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->request.source_level, 4294967295u);
+  EXPECT_EQ(parsed->request.min_dest_level, 3u);
+}
+
 struct BadCase {
   const char* name;
   const char* spec;
@@ -114,15 +122,29 @@ INSTANTIATE_TEST_SUITE_P(
                 "[0, 1)"},
         BadCase{"UnknownKey", "edges: a -> b\ndelay: 5\nbogus: 1\n",
                 "unknown key"},
+        BadCase{"ConditionalIsUnknownKey",
+                "edges: a -> b\ndelay: 5\nconditional: a\n", "unknown key"},
         BadCase{"CommuteUndeclared",
                 "edges: a -> b\ndelay: 5\ncommute: a ~ z\n", "undeclared"},
-        BadCase{"ConditionalUndeclared",
-                "edges: a -> b\ndelay: 5\nconditional: q\n", "undeclared"},
         BadCase{"Cycle", "edges: a -> b\nedges: b -> a\ndelay: 5\n",
                 "cycle"},
         BadCase{"NotKeyValue", "just some text\n", "key: value"},
         BadCase{"CommuteMissingTilde",
-                "edges: a -> b\ndelay: 5\ncommute: a\n", "a ~ b"}));
+                "edges: a -> b\ndelay: 5\ncommute: a\n", "a ~ b"},
+        BadCase{"LossNan", "edges: a -> b\ndelay: 5\nloss: nan\n",
+                "[0, 1)"},
+        BadCase{"DelayNan", "edges: a -> b\ndelay: nan\n", "positive"},
+        BadCase{"DelayInf", "edges: a -> b\ndelay: inf\n", "positive"},
+        BadCase{"FailureNan", "edges: a -> b\ndelay: 5\nfailure: nan\n",
+                "(0, 1]"},
+        BadCase{"BandwidthNan",
+                "edges: a -> b\ndelay: 5\nbandwidth: nan\n", ">= 0 (kbps)"},
+        BadCase{"SourceLevelOverflow",
+                "edges: a -> b\ndelay: 5\nsource-level: 1e20\n",
+                "whole number"},
+        BadCase{"DestLevelFractional",
+                "edges: a -> b\ndelay: 5\ndest-level: 2.7\n",
+                "whole number"}));
 
 }  // namespace
 }  // namespace spider::service
