@@ -16,8 +16,10 @@
 //    --jobs values;
 //  * BENCH_scale.json (--json-out): the same rows plus wall-clock timings
 //    (scenario build, compose throughput), the peak-RSS proxy in bytes
-//    (arena high-water mark × sizeof(PathSegment)), and — for --xl runs —
-//    the process VmHWM and its budget.
+//    (arena high-water mark × sizeof(PathSegment)), the shortest-path work
+//    counters (IP nodes settled by the world build, overlay peers settled
+//    by the row's composes), and — for --xl runs — the process VmHWM and
+//    its budget. kRowColumns lists the row keys.
 //
 // --xl tier (§5h): half-million-peer worlds built through the landmark
 // estimator (from_topology_estimated + overlay landmarks), with hard
@@ -66,6 +68,10 @@ struct Row {
   std::uint64_t arena_peak_segments = 0;
   std::uint64_t arena_segments_allocated = 0;
   std::uint64_t arena_freelist_reused = 0;
+  // Shortest-path work: IP nodes the world build settled (constant across
+  // a cell's rows) and overlay peers this row's composes settled.
+  std::uint64_t ip_nodes_settled = 0;
+  std::uint64_t overlay_nodes_settled = 0;
   // Estimator error sample (deterministic; zero when estimator off).
   double est_err_mean = 0.0;   ///< mean relative (est - exact) / exact
   double est_err_max = 0.0;
@@ -81,6 +87,69 @@ struct Row {
   // at a time (see the budget check).
   std::uint64_t vm_hwm_before = 0;
   std::uint64_t vm_hwm_after = 0;
+};
+
+std::string count(std::uint64_t v) { return std::to_string(v); }
+
+/// One BENCH_scale.json row column: its key and its JSON value text.
+struct RowColumn {
+  const char* key;
+  std::string (*value)(const Row&);
+};
+
+const RowColumn kRowColumns[] = {
+    {"peers", [](const Row& r) { return count(r.peers); }},
+    {"ip_nodes", [](const Row& r) { return count(r.ip_nodes); }},
+    {"depth", [](const Row& r) { return count(r.depth); }},
+    {"requests", [](const Row& r) { return count(r.requests); }},
+    {"success_ratio", [](const Row& r) { return fmt(r.success_ratio, 4); }},
+    {"probes_spawned", [](const Row& r) { return count(r.probes_spawned); }},
+    {"probe_messages", [](const Row& r) { return count(r.probe_messages); }},
+    {"prefix_nodes_shared",
+     [](const Row& r) { return count(r.prefix_nodes_shared); }},
+    {"probe_bytes_copied",
+     [](const Row& r) { return count(r.probe_bytes_copied); }},
+    {"virtual_setup_ms_mean",
+     [](const Row& r) { return fmt(r.virtual_setup_ms_mean, 3); }},
+    {"arena_peak_segments",
+     [](const Row& r) { return count(r.arena_peak_segments); }},
+    {"arena_segments_allocated",
+     [](const Row& r) { return count(r.arena_segments_allocated); }},
+    {"arena_freelist_reused",
+     [](const Row& r) { return count(r.arena_freelist_reused); }},
+    {"arena_peak_bytes",
+     [](const Row& r) {
+       return count(r.arena_peak_segments * sizeof(core::PathSegment));
+     }},
+    {"ip_nodes_settled",
+     [](const Row& r) { return count(r.ip_nodes_settled); }},
+    {"overlay_nodes_settled",
+     [](const Row& r) { return count(r.overlay_nodes_settled); }},
+    {"estimator",
+     [](const Row& r) { return std::string(r.estimator ? "true" : "false"); }},
+    {"est_err_mean", [](const Row& r) { return fmt(r.est_err_mean, 4); }},
+    {"est_err_max", [](const Row& r) { return fmt(r.est_err_max, 4); }},
+    {"est_bound_violations",
+     [](const Row& r) { return count(r.est_bound_violations); }},
+    {"scenario_build_ms",
+     [](const Row& r) { return fmt(r.scenario_build_ms, 3); }},
+    {"build_topology_ms",
+     [](const Row& r) { return fmt(r.build.topology_ms, 3); }},
+    {"build_overlay_ms",
+     [](const Row& r) { return fmt(r.build.overlay_ms, 3); }},
+    {"build_estimator_ms",
+     [](const Row& r) { return fmt(r.build.estimator_ms, 3); }},
+    {"build_dht_ms", [](const Row& r) { return fmt(r.build.dht_ms, 3); }},
+    {"build_deploy_ms", [](const Row& r) { return fmt(r.build.deploy_ms, 3); }},
+    {"vm_hwm_before_bytes",
+     [](const Row& r) { return count(r.vm_hwm_before); }},
+    {"vm_hwm_after_bytes", [](const Row& r) { return count(r.vm_hwm_after); }},
+    {"vm_hwm_attributed_bytes",
+     [](const Row& r) {
+       return count(
+           util::attributed_hwm_delta(r.vm_hwm_before, r.vm_hwm_after));
+     }},
+    {"compose_wall_ms", [](const Row& r) { return fmt(r.compose_wall_ms, 3); }},
 };
 
 /// Exact-vs-estimated delay error over a deterministic hashed sample of
@@ -177,9 +246,9 @@ int main(int argc, char** argv) {
     // many IP nodes as peers (the §6.1 testbed is 10k/1k).
     config.ip_nodes = std::max<std::size_t>(2 * peers, 4000);
     config.peers = peers;
-    // Cap the only O(N²) state. The IP-router cap keeps the overlay
-    // build at one resident tree per in-flight source; the overlay cap
-    // bounds route memory during probing. Results are unaffected.
+    // Cap the only O(N²) state: the overlay cap bounds route memory
+    // during probing, and the IP-router cap any full IP tree a caller
+    // asks for (the exact build caches none). Results are unaffected.
     config.router_cache_limit = args.xl ? 4 : 8;
     config.route_cache_limit = args.xl ? 16 : 64;
     config.build_jobs = args.build_jobs;
@@ -206,6 +275,7 @@ int main(int argc, char** argv) {
       row.estimator = config.use_latency_estimator;
       row.scenario_build_ms = build_ms;
       row.build = s->build_timings;
+      row.ip_nodes_settled = s->router->nodes_settled();
       row.vm_hwm_before = cell_hwm_before;
 
       // Per-row request stream: rows are independent of execution order.
@@ -231,6 +301,8 @@ int main(int argc, char** argv) {
 
       RatioCounter success;
       SampleStats setup;
+      const std::uint64_t overlay_settled_before =
+          s->deployment->overlay().nodes_settled();
       const auto compose_t0 = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < requests_per_row; ++i) {
         auto gen = workload::sample_request(*s, profile);
@@ -244,6 +316,8 @@ int main(int argc, char** argv) {
         if (r.success) setup.add(r.stats.setup_time_ms);
       }
       row.compose_wall_ms = wall_ms_since(compose_t0);
+      row.overlay_nodes_settled =
+          s->deployment->overlay().nodes_settled() - overlay_settled_before;
       row.success_ratio = success.ratio();
       row.virtual_setup_ms_mean = setup.mean();
       row.arena_peak_segments = bcp.arena_totals().peak_live_segments;
@@ -317,42 +391,14 @@ int main(int argc, char** argv) {
   bool first = true;
   for (const auto& cell : cells) {
     for (const Row& row : cell) {
-      std::fprintf(
-          jf,
-          "%s    {\"peers\": %zu, \"ip_nodes\": %zu, \"depth\": %zu, "
-          "\"requests\": %zu, \"success_ratio\": %.4f, "
-          "\"probes_spawned\": %llu, \"probe_messages\": %llu, "
-          "\"prefix_nodes_shared\": %llu, \"probe_bytes_copied\": %llu, "
-          "\"virtual_setup_ms_mean\": %.3f, \"arena_peak_segments\": %llu, "
-          "\"arena_segments_allocated\": %llu, \"arena_freelist_reused\": "
-          "%llu, \"arena_peak_bytes\": %llu, \"estimator\": %s, "
-          "\"est_err_mean\": %.4f, \"est_err_max\": %.4f, "
-          "\"est_bound_violations\": %llu, \"scenario_build_ms\": %.3f, "
-          "\"build_topology_ms\": %.3f, \"build_overlay_ms\": %.3f, "
-          "\"build_estimator_ms\": %.3f, \"build_dht_ms\": %.3f, "
-          "\"build_deploy_ms\": %.3f, \"vm_hwm_before_bytes\": %llu, "
-          "\"vm_hwm_after_bytes\": %llu, \"vm_hwm_attributed_bytes\": %llu, "
-          "\"compose_wall_ms\": %.3f}",
-          first ? "" : ",\n", row.peers, row.ip_nodes, row.depth, row.requests,
-          row.success_ratio, (unsigned long long)row.probes_spawned,
-          (unsigned long long)row.probe_messages,
-          (unsigned long long)row.prefix_nodes_shared,
-          (unsigned long long)row.probe_bytes_copied,
-          row.virtual_setup_ms_mean,
-          (unsigned long long)row.arena_peak_segments,
-          (unsigned long long)row.arena_segments_allocated,
-          (unsigned long long)row.arena_freelist_reused,
-          (unsigned long long)(row.arena_peak_segments *
-                               sizeof(core::PathSegment)),
-          row.estimator ? "true" : "false", row.est_err_mean, row.est_err_max,
-          (unsigned long long)row.est_bound_violations,
-          row.scenario_build_ms, row.build.topology_ms, row.build.overlay_ms,
-          row.build.estimator_ms, row.build.dht_ms, row.build.deploy_ms,
-          (unsigned long long)row.vm_hwm_before,
-          (unsigned long long)row.vm_hwm_after,
-          (unsigned long long)util::attributed_hwm_delta(row.vm_hwm_before,
-                                                         row.vm_hwm_after),
-          row.compose_wall_ms);
+      std::fprintf(jf, "%s    {", first ? "" : ",\n");
+      const char* sep = "";
+      for (const RowColumn& column : kRowColumns) {
+        std::fprintf(jf, "%s\"%s\": %s", sep, column.key,
+                     column.value(row).c_str());
+        sep = ", ";
+      }
+      std::fprintf(jf, "}");
       first = false;
     }
   }

@@ -3,14 +3,16 @@
 // Its tie-break is part of the contract, since byte-identical outputs
 // depend on which of two equal-delay paths a tree keeps: the frontier pops
 // the least (delay, node index), relaxation is strict `<`, and edges relax
-// in the order the edge visitor yields them.
+// in the order the edge visitor yields them. A search ended early by its
+// stop hook is the full run cut short: it settles a prefix of the full
+// run's settle order, each with the full tree's delay and parent.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -28,8 +30,9 @@ struct ShortestPathTree {
         parent(node_count, no_edge) {}
 
   std::uint32_t source;
-  std::vector<double> dist;  ///< infinity where unreachable
+  std::vector<double> dist;  ///< infinity where unreachable or unsettled
   std::vector<Edge> parent;  ///< edge taken into each node (none at source)
+  std::size_t settled = 0;   ///< nodes the search settled
 
   bool reachable(std::uint32_t v) const {
     return dist[v] < std::numeric_limits<double>::infinity();
@@ -51,34 +54,61 @@ struct NoImproveHook {
   void operator()(std::uint32_t, std::uint32_t, Edge) const {}
 };
 
+/// Default stop hook: the search settles every reachable node.
+struct NeverStop {
+  bool operator()(std::uint32_t, double) const { return false; }
+};
+
 /// Dijkstra from `source`. `for_each_edge(u, relax)` calls
 /// `relax(v, edge, delay_ms)` for each usable edge out of `u`, in a fixed
 /// order. `on_improve(u, v, edge)` runs each time `v`'s distance improves
 /// through `u`, after its distance and parent are set, so callers can carry
 /// per-path values (bottleneck bandwidth, hop count) along the same tree.
+/// `stop(u, delay_ms)` runs once per node as it settles, in settle order
+/// and before its edges relax; returning true ends the search with `u`
+/// settled. Every node the search reached but had not settled then reads
+/// unreached again, so a stopped tree never reports a tentative distance.
 template <typename Edge, typename ForEachEdge,
-          typename OnImprove = NoImproveHook>
+          typename OnImprove = NoImproveHook, typename Stop = NeverStop>
 ShortestPathTree<Edge> shortest_path_tree(std::size_t node_count,
                                           std::uint32_t source, Edge no_edge,
                                           ForEachEdge&& for_each_edge,
-                                          OnImprove&& on_improve = {}) {
+                                          OnImprove&& on_improve = {},
+                                          Stop&& stop = {}) {
   SPIDER_REQUIRE(source < node_count);
   ShortestPathTree<Edge> tree(source, node_count, no_edge);
   using Item = std::pair<double, std::uint32_t>;  // (delay, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> frontier;
+  // A binary min-heap, popped in the least (delay, node) order.
+  std::vector<Item> frontier;
+  const auto later = std::greater<Item>();
   tree.dist[source] = 0.0;
-  frontier.emplace(0.0, source);
+  frontier.emplace_back(0.0, source);
   while (!frontier.empty()) {
-    const auto [d, u] = frontier.top();
-    frontier.pop();
+    std::pop_heap(frontier.begin(), frontier.end(), later);
+    const auto [d, u] = frontier.back();
+    frontier.pop_back();
     if (d > tree.dist[u]) continue;  // stale entry
+    ++tree.settled;
+    if (stop(u, d)) {
+      // The one live entry of a reached, unsettled node carries its
+      // current distance: settled nodes have none left, and older entries
+      // are stale.
+      for (const auto& [fd, v] : frontier) {
+        if (fd == tree.dist[v]) {
+          tree.dist[v] = std::numeric_limits<double>::infinity();
+          tree.parent[v] = no_edge;
+        }
+      }
+      break;
+    }
     for_each_edge(u, [&](std::uint32_t v, Edge edge, double delay_ms) {
       const double nd = d + delay_ms;
       if (nd < tree.dist[v]) {
         tree.dist[v] = nd;
         tree.parent[v] = edge;
         on_improve(u, v, edge);
-        frontier.emplace(nd, v);
+        frontier.emplace_back(nd, v);
+        std::push_heap(frontier.begin(), frontier.end(), later);
       }
     });
   }

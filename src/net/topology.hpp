@@ -63,11 +63,12 @@ class Topology {
   std::span<const Adjacency> neighbors(NodeIdx n) const;
   std::size_t degree(NodeIdx n) const { return neighbors(n).size(); }
 
-  /// Min-delay tree from `source` over every link; `on_improve` as in
-  /// net::shortest_path_tree.
-  template <typename OnImprove = NoImproveHook>
+  /// Min-delay tree from `source` over every link; `on_improve` and
+  /// `stop` as in net::shortest_path_tree.
+  template <typename OnImprove = NoImproveHook, typename Stop = NeverStop>
   ShortestPathTree<LinkIdx> min_delay_tree(NodeIdx source,
-                                           OnImprove&& on_improve = {}) const {
+                                           OnImprove&& on_improve = {},
+                                           Stop&& stop = {}) const {
     return net::shortest_path_tree(
         node_count_, source, kInvalidLink,
         [this](NodeIdx u, auto&& relax) {
@@ -75,7 +76,7 @@ class Topology {
             relax(adj.neighbor, adj.link, links_[adj.link].delay_ms);
           }
         },
-        std::forward<OnImprove>(on_improve));
+        std::forward<OnImprove>(on_improve), std::forward<Stop>(stop));
   }
 
   /// True if every node can reach every other node.

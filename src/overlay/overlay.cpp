@@ -1,7 +1,9 @@
 #include "overlay/overlay.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
+#include <utility>
 
 #include "util/parallel.hpp"
 #include "util/require.hpp"
@@ -59,7 +61,8 @@ OverlayNetwork OverlayNetwork::from_topology(const net::Topology& topo,
                                              net::Router& router,
                                              std::vector<net::NodeIdx> peer_nodes,
                                              OverlayKind kind,
-                                             std::size_t degree, Rng& rng) {
+                                             std::size_t degree, Rng& rng,
+                                             std::size_t jobs) {
   SPIDER_REQUIRE(peer_nodes.size() >= 2);
   SPIDER_REQUIRE(degree >= 1);
   for (net::NodeIdx node : peer_nodes) {
@@ -69,40 +72,118 @@ OverlayNetwork OverlayNetwork::from_topology(const net::Topology& topo,
 
   OverlayNetwork net;
   net.peer_node_ = std::move(peer_nodes);
-  SeenSet seen;
+  const std::vector<net::NodeIdx>& node_of = net.peer_node_;
 
-  auto add_link = [&](PeerId a, PeerId b) {
-    if (a == b) return;
+  // Every random choice comes first, in a fixed RNG order: random
+  // partners, then the ring permutation (the mesh draws nothing). A link
+  // a-b is priced from a's search, so partners[a] lists the b's of a's
+  // random links.
+  std::vector<std::vector<PeerId>> partners(n);
+  if (kind == OverlayKind::kRandom) {
+    SeenSet drawn;
+    wire_random(
+        n, degree, rng, drawn,
+        [&](PeerId a, PeerId b) {
+          drawn.insert(PeerPairKey(a, b));
+          partners[a].push_back(b);
+        },
+        &net.underwired_peers_);
+  }
+  std::vector<std::pair<PeerId, PeerId>> ring;
+  ring.reserve(n);
+  add_connectivity_ring(n, rng,
+                        [&](PeerId a, PeerId b) { ring.emplace_back(a, b); });
+  std::vector<PeerId> ring_next(n);
+  for (const auto& [a, b] : ring) ring_next[a] = b;
+
+  // Topology-aware mesh: each peer links to its `degree` nearest peers by
+  // IP delay, ties to the lower peer index. Peers are bucketed by IP node
+  // so a search collects candidates as it settles their hosts.
+  const std::size_t mesh_k =
+      kind == OverlayKind::kNearestMesh ? std::min(degree, n - 1) : 0;
+  std::vector<std::uint32_t> hosted_from(topo.node_count() + 1, 0);
+  for (net::NodeIdx node : node_of) ++hosted_from[node + 1];
+  for (std::size_t i = 1; i < hosted_from.size(); ++i) {
+    hosted_from[i] += hosted_from[i - 1];
+  }
+  std::vector<PeerId> hosted(n);
+  std::vector<std::uint32_t> cursor(hosted_from.begin(), hosted_from.end() - 1);
+  for (PeerId q = 0; q < n; ++q) hosted[cursor[node_of[q]]++] = q;
+
+  // One IP search per peer, stopped once its targets are settled: its ring
+  // successor, its random partners, or its `mesh_k` nearest peer hosts and
+  // every node tied with the last of them. A stopped search settles a
+  // prefix of the full tree's settle order, so every price is the full
+  // tree's. Each search writes only its own slot.
+  struct Slot {
+    std::vector<std::pair<PeerId, net::PathMetrics>> links;  // link order
+    net::PathMetrics ring;
+    std::size_t settled = 0;
+  };
+  std::vector<Slot> slots(n);
+  util::parallel_for_each(jobs, n, [&](std::size_t pi) {
+    const PeerId p = PeerId(pi);
+    std::vector<net::NodeIdx> targets{node_of[ring_next[p]]};
+    for (PeerId q : partners[p]) targets.push_back(node_of[q]);
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+    std::size_t pending = targets.size();
+    std::vector<std::pair<double, PeerId>> nearest;  // (delay, peer)
+    double kth = std::numeric_limits<double>::infinity();
+    bool mesh_done = mesh_k == 0;
+    const net::SingleSourcePaths paths =
+        router.search(node_of[p], [&](net::NodeIdx u, double d) {
+          if (!mesh_done) {
+            if (d > kth) {
+              mesh_done = true;  // every node tied with the k-th is in
+            } else {
+              for (std::uint32_t i = hosted_from[u]; i < hosted_from[u + 1];
+                   ++i) {
+                if (hosted[i] != p) nearest.emplace_back(d, hosted[i]);
+              }
+              if (nearest.size() >= mesh_k) kth = d;
+            }
+          }
+          if (std::binary_search(targets.begin(), targets.end(), u)) {
+            --pending;
+          }
+          return mesh_done && pending == 0;
+        });
+    Slot& slot = slots[pi];
+    slot.settled = paths.settled();
+    const std::size_t k = std::min(mesh_k, nearest.size());
+    std::partial_sort(nearest.begin(), nearest.begin() + long(k),
+                      nearest.end());
+    nearest.resize(k);
+    for (PeerId q : partners[p]) {
+      slot.links.emplace_back(q, paths.metrics_to(node_of[q]));
+    }
+    for (const auto& [d, q] : nearest) {
+      slot.links.emplace_back(q, paths.metrics_to(node_of[q]));
+    }
+    slot.ring = paths.metrics_to(node_of[ring_next[p]]);
+  });
+
+  // Serial merge: each peer's links in peer order, then the ring,
+  // deduplicated through one seen set. The link order is part of the
+  // output, so it does not depend on `jobs`.
+  SeenSet seen;
+  auto add_link = [&](PeerId a, PeerId b, const net::PathMetrics& m) {
     if (!seen.insert(PeerPairKey(a, b)).second) return;
-    const net::PathMetrics m =
-        router.metrics(net.peer_node_[a], net.peer_node_[b]);
     SPIDER_REQUIRE_MSG(m.reachable(), "IP topology must be connected");
     net.links_.push_back(OverlayLink{a, b, m.delay_ms, m.bottleneck_kbps,
                                      std::max<std::uint32_t>(m.hops, 1)});
   };
-
-  if (kind == OverlayKind::kNearestMesh) {
-    // Topology-aware mesh: each peer connects to its `degree` nearest peers
-    // by underlying IP delay. Exact — one IP Dijkstra and a full n-element
-    // scan per peer, which is why large worlds go through
-    // from_topology_estimated instead.
-    for (PeerId p = 0; p < n; ++p) {
-      const auto& tree = router.from(net.peer_node_[p]);
-      std::vector<std::pair<double, PeerId>> by_delay;
-      by_delay.reserve(n - 1);
-      for (PeerId q = 0; q < n; ++q) {
-        if (q == p) continue;
-        by_delay.emplace_back(tree.delay_to(net.peer_node_[q]), q);
-      }
-      const std::size_t k = std::min(degree, by_delay.size());
-      std::partial_sort(by_delay.begin(), by_delay.begin() + long(k),
-                        by_delay.end());
-      for (std::size_t i = 0; i < k; ++i) add_link(p, by_delay[i].second);
-    }
-  } else {
-    wire_random(n, degree, rng, seen, add_link, &net.underwired_peers_);
+  std::uint64_t settled = 0;
+  for (PeerId p = 0; p < n; ++p) {
+    // A search that ran out of reachable peers before its k-th nearest.
+    SPIDER_REQUIRE_MSG(slots[p].links.size() >= mesh_k,
+                       "IP topology must be connected");
+    for (const auto& [q, m] : slots[p].links) add_link(p, q, m);
+    settled += slots[p].settled;
   }
-  add_connectivity_ring(n, rng, add_link);
+  for (const auto& [a, b] : ring) add_link(a, b, slots[a].ring);
+  router.count_searches(n, settled);
 
   net.build_adjacency();
   return net;
@@ -349,8 +430,11 @@ OverlayPathRef OverlayNetwork::route(PeerId src, PeerId dst) {
   // Tree eviction does not invalidate handles (materialized paths own
   // their data); a path eviction bumps route_epoch().
   const OverlayPath& path = path_cache_.get({src, dst}, [&] {
-    return materialize(
-        dst, tree_cache_.get(src, [&] { return compute_tree(src); }));
+    return materialize(dst, tree_cache_.get(src, [&] {
+                         RouteTree tree = compute_tree(src);
+                         nodes_settled_ += tree.settled;
+                         return tree;
+                       }));
   });
   return OverlayPathRef(&path, this, route_epoch());
 }

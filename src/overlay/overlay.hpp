@@ -13,11 +13,15 @@
 // triangulated estimates from a k-landmark table (exact when no estimator
 // is attached — the byte-identical legacy mode); `route` computes exact
 // min-delay paths lazily, per source, caching Dijkstra *trees* in a
-// bounded LRU and materializing per-(src,dst) paths on demand.  Million-
-// peer worlds are built through `from_topology_estimated`, which never
-// runs a per-peer IP Dijkstra: overlay link metrics come from real
-// through-landmark paths and the nearest-mesh scan is sharded by nearest
-// landmark instead of scanning all n peers.
+// bounded LRU and materializing per-(src,dst) paths on demand.  Exact
+// worlds are built through `from_topology`, which prices every link from
+// one IP search per peer that stops once that peer's links are settled
+// (about half the IP graph on average, set by the random ring link; the
+// mesh alone stops far sooner).  Million-peer worlds are built through
+// `from_topology_estimated`, which never runs a per-peer IP Dijkstra:
+// overlay link metrics come from real through-landmark paths and the
+// nearest-mesh scan is sharded by nearest landmark instead of scanning
+// all n peers.
 //
 // Peers can be marked dead (churn).  Overlay routing is min-delay Dijkstra
 // over live peers; route caches are invalidated on liveness changes.
@@ -120,12 +124,18 @@ enum class OverlayKind {
 class OverlayNetwork {
  public:
   /// Builds an overlay over `peer_nodes` (IP node index per peer) using the
-  /// given wiring; overlay link metrics come from shortest IP paths.
+  /// given wiring; overlay link metrics come from exact shortest IP paths.
+  /// Draws every random choice first, then runs one IP search per peer
+  /// (`router.search`, counted once in `router`) that stops once the links
+  /// it prices are settled: its ring successor and its random partners or
+  /// its `degree` nearest peers. `jobs > 1` runs the searches on a
+  /// WorkerPool into per-peer slots merged serially, with identical links
+  /// at any job count (DESIGN.md §5k).
   static OverlayNetwork from_topology(const net::Topology& topo,
                                       net::Router& router,
                                       std::vector<net::NodeIdx> peer_nodes,
                                       OverlayKind kind, std::size_t degree,
-                                      Rng& rng);
+                                      Rng& rng, std::size_t jobs = 1);
 
   /// Landmark-estimated build for large worlds: no per-peer IP Dijkstra
   /// is ever run. `landmark_count` IP-layer landmarks are sampled over
@@ -201,6 +211,8 @@ class OverlayNetwork {
   std::uint64_t route_paths_materialized() const {
     return path_cache_.misses();
   }
+  /// Peers settled by those route trees: the routing work measure.
+  std::uint64_t nodes_settled() const { return nodes_settled_; }
   /// Epoch of the path cache: bumped whenever a cached path is evicted or
   /// the caches are cleared. OverlayPathRef checks against it.
   std::uint64_t route_epoch() const {
@@ -262,6 +274,7 @@ class OverlayNetwork {
   util::LruCache<util::PairKey<PeerId, PeerId>, OverlayPath, util::PairKeyHash>
       path_cache_{std::size_t(1) << 16};
   std::uint64_t route_cache_clears_ = 0;
+  std::uint64_t nodes_settled_ = 0;
 
   std::unique_ptr<net::LandmarkTable> estimator_;
 };

@@ -82,7 +82,8 @@ std::unique_ptr<Scenario> build_sim_scenario(const SimScenarioConfig& config) {
                 config.build_jobs)
           : overlay::OverlayNetwork::from_topology(
                 *s->topology, *s->router, std::move(peer_nodes),
-                config.overlay_kind, config.overlay_degree, s->rng);
+                config.overlay_kind, config.overlay_degree, s->rng,
+                config.build_jobs);
   ov.set_route_cache_limit(config.route_cache_limit);
   ov.set_route_path_cache_limit(config.route_path_cache_limit);
   s->build_timings.overlay_ms = ms_since(t0);

@@ -89,15 +89,18 @@ struct SimScenarioConfig {
   /// overlay::OverlayNetwork::set_route_cache_limit) applied before the
   /// overlay is built. Cached shortest-path state is the only O(N²)
   /// memory in a scenario, so large-N sweeps must cap it; the default
-  /// keeps the exact historical unbounded behaviour.
+  /// keeps the exact historical unbounded behaviour. The exact overlay
+  /// build caches no IP tree (its searches are net::Router::search), so
+  /// router_cache_limit bounds only trees callers ask the Router for
+  /// later, not build work.
   std::size_t router_cache_limit = std::size_t(-1);
   std::size_t route_cache_limit = std::size_t(-1);
   /// Cap on materialized per-(src,dst) overlay paths (min 2; see
   /// overlay::OverlayNetwork::set_route_path_cache_limit).
   std::size_t route_path_cache_limit = std::size_t(1) << 16;
   /// Landmark latency estimation (§5h). Off by default: the scenario then
-  /// builds the overlay with exact per-peer IP Dijkstras and answers
-  /// every delay query exactly — byte-identical to the historical
+  /// builds the overlay exactly, from one bounded IP search per peer, and
+  /// answers every delay query exactly — byte-identical to the historical
   /// behaviour. On, the overlay is built via
   /// overlay::OverlayNetwork::from_topology_estimated (O(n·degree·k)
   /// construction, bounded RSS) and proximity/discovery hints come from
@@ -112,7 +115,8 @@ struct SimScenarioConfig {
   bool use_communities = false;
   std::size_t community_count = 8;
   /// World-construction parallelism (§5k): landmark SSSP columns, overlay
-  /// link pricing, the DHT bulk load and component registration spread
+  /// link pricing (per-peer IP searches in exact worlds, table reads in
+  /// estimated ones), the DHT bulk load and component registration spread
   /// over this many workers. Output is identical at any value — component
   /// sampling draws from hash-derived per-shard RNG streams (fixed
   /// 1024-peer shards), not the sequential scenario RNG, precisely so the

@@ -200,6 +200,77 @@ TEST(Router, PathMetricsConsistentWithPath) {
   }
 }
 
+// A search cut short by its stop hook is the full run's prefix: the nodes
+// it settled, in the full run's order, with the full tree's delay (bitwise)
+// and parent; every other node reads unreached, never a tentative delay.
+void expect_stopped_searches_are_prefixes(const Topology& topo) {
+  for (const NodeIdx src : {NodeIdx(0), NodeIdx(topo.node_count() / 2)}) {
+    const ShortestPathTree<LinkIdx> full = topo.min_delay_tree(src);
+    std::vector<NodeIdx> order;
+    topo.min_delay_tree(src, NoImproveHook{}, [&](NodeIdx u, double) {
+      order.push_back(u);
+      return false;
+    });
+    ASSERT_EQ(order.size(), full.settled);
+    const std::size_t n = order.size();
+    for (const std::size_t cut : {std::size_t(1), std::size_t(2), n / 3,
+                                  n / 2, n - 1, n}) {
+      std::vector<bool> settled(topo.node_count(), false);
+      std::size_t seen = 0;
+      const ShortestPathTree<LinkIdx> part = topo.min_delay_tree(
+          src, NoImproveHook{}, [&](NodeIdx u, double d) {
+            EXPECT_EQ(u, order[seen]) << "settle " << seen;
+            EXPECT_EQ(d, full.dist[u]);
+            settled[u] = true;
+            return ++seen == cut;
+          });
+      EXPECT_EQ(part.settled, cut);
+      for (NodeIdx v = 0; v < topo.node_count(); ++v) {
+        if (settled[v]) {
+          EXPECT_EQ(part.dist[v], full.dist[v]) << "node " << v;
+          EXPECT_EQ(part.parent[v], full.parent[v]) << "node " << v;
+        } else {
+          EXPECT_FALSE(part.reachable(v)) << "node " << v << " cut " << cut;
+          EXPECT_EQ(part.parent[v], kInvalidLink) << "node " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShortestPathKernel, StoppedSearchSettlesAPrefixOfTheFullRun) {
+  Rng rng(11);
+  expect_stopped_searches_are_prefixes(power_law(300, 2, rng));
+  expect_stopped_searches_are_prefixes(waxman(300, 0.4, 0.2, rng));
+  expect_stopped_searches_are_prefixes(random_graph(200, 400, rng));
+  // The equal-delay graph of EqualDelayTieGoesToTheLowerNodeFirstFound:
+  // both 0-1-3 and 0-2-3 take 2 ms.
+  expect_stopped_searches_are_prefixes(Topology(4, {{0, 2, 1.0, 100.0},
+                                                    {0, 1, 1.0, 100.0},
+                                                    {2, 3, 1.0, 100.0},
+                                                    {1, 3, 1.0, 100.0}}));
+}
+
+TEST(Router, SearchesStayOutOfTheCacheAndCountOnce) {
+  Topology t = tiny_line();
+  Router router(t);
+  // Stop once node 2 settles: 0, 1, then 2 (3 ms) — node 3 (7 ms via 2,
+  // 10 ms direct) stays unsettled and reads unreachable.
+  const SingleSourcePaths paths =
+      router.search(0, [](NodeIdx u, double) { return u == 2; });
+  EXPECT_EQ(paths.settled(), 3u);
+  EXPECT_DOUBLE_EQ(paths.metrics_to(2).delay_ms, 3.0);
+  EXPECT_DOUBLE_EQ(paths.metrics_to(2).bottleneck_kbps, 50.0);
+  EXPECT_FALSE(paths.reachable(3));
+  EXPECT_FALSE(paths.metrics_to(3).reachable());
+  EXPECT_EQ(router.cached_sources(), 0u);
+  EXPECT_EQ(router.recomputes(), 0u);  // searches count when booked
+  router.count_searches(1, paths.settled());
+  router.from(0);  // a full tree settles all four nodes
+  EXPECT_EQ(router.recomputes(), 2u);
+  EXPECT_EQ(router.nodes_settled(), 7u);
+}
+
 TEST(PlanetLab, MatrixIsSymmetricWithZeroDiagonal) {
   Rng rng(8);
   PlanetLabConfig config;

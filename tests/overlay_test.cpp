@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "net/generator.hpp"
@@ -402,6 +404,224 @@ TEST(Overlay, SparseRandomWiringReportsNoUnderwiredPeers) {
   Rng rng(25);
   OverlayNetwork ov = make_overlay(rng, 300, 50, OverlayKind::kRandom);
   EXPECT_EQ(ov.underwired_peers(), 0u);
+}
+
+/// The links of an exact overlay priced from full IP trees
+/// (net::Router::metrics): mesh or random pairs in peer order, then the
+/// connectivity ring, each priced from its first peer.
+struct ReferenceOverlay {
+  std::vector<OverlayLink> links;
+  std::size_t underwired_peers = 0;
+};
+
+ReferenceOverlay reference_overlay(const net::Topology& topo,
+                                   const std::vector<net::NodeIdx>& nodes,
+                                   OverlayKind kind, std::size_t degree,
+                                   Rng& rng) {
+  net::Router router(topo);
+  const std::size_t n = nodes.size();
+  ReferenceOverlay ref;
+  std::set<std::pair<PeerId, PeerId>> seen;
+  auto linked = [&](PeerId a, PeerId b) {
+    return seen.count(std::minmax(a, b)) > 0;
+  };
+  auto add = [&](PeerId a, PeerId b) {
+    if (!seen.insert(std::minmax(a, b)).second) return;
+    const net::PathMetrics m = router.metrics(nodes[a], nodes[b]);
+    ref.links.push_back(OverlayLink{a, b, m.delay_ms, m.bottleneck_kbps,
+                                    std::max<std::uint32_t>(m.hops, 1)});
+  };
+  if (kind == OverlayKind::kNearestMesh) {
+    for (PeerId p = 0; p < n; ++p) {
+      const net::SingleSourcePaths& tree = router.from(nodes[p]);
+      std::vector<std::pair<double, PeerId>> by_delay;
+      for (PeerId q = 0; q < n; ++q) {
+        if (q != p) by_delay.emplace_back(tree.delay_to(nodes[q]), q);
+      }
+      std::sort(by_delay.begin(), by_delay.end());
+      for (std::size_t i = 0; i < std::min(degree, by_delay.size()); ++i) {
+        add(p, by_delay[i].second);
+      }
+    }
+  } else {
+    // Rejection draws, then a scan of unused partners.
+    for (PeerId p = 0; p < n; ++p) {
+      std::size_t added = 0, guard = 0;
+      while (added < degree && guard++ < degree * 64 + 16) {
+        const auto q = PeerId(rng.next_below(n));
+        if (q == p || linked(p, q)) continue;
+        add(p, q);
+        ++added;
+      }
+      for (std::size_t step = 1; step < n && added < degree; ++step) {
+        const auto q = PeerId((p + step) % n);
+        if (linked(p, q)) continue;
+        add(p, q);
+        ++added;
+      }
+      if (added < degree) ++ref.underwired_peers;
+    }
+  }
+  std::vector<PeerId> order(n);
+  for (PeerId p = 0; p < n; ++p) order[p] = p;
+  rng.shuffle(order);
+  for (std::size_t i = 0; i < n; ++i) add(order[i], order[(i + 1) % n]);
+  return ref;
+}
+
+/// Builds through from_topology and through the reference from the same
+/// RNG state, and compares them field by field, RNG stream included.
+void expect_matches_reference(const net::Topology& topo,
+                              const std::vector<net::NodeIdx>& nodes,
+                              OverlayKind kind, std::size_t degree,
+                              std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "kind " << int(kind) << " peers " << nodes.size()
+               << " degree " << degree << " seed " << seed);
+  Rng ref_rng(seed), rng(seed);
+  const ReferenceOverlay ref =
+      reference_overlay(topo, nodes, kind, degree, ref_rng);
+  net::Router router(topo);
+  const OverlayNetwork ov =
+      OverlayNetwork::from_topology(topo, router, nodes, kind, degree, rng);
+  ASSERT_EQ(ov.link_count(), ref.links.size());
+  for (OverlayLinkId l = 0; l < ov.link_count(); ++l) {
+    const OverlayLink& got = ov.link(l);
+    const OverlayLink& want = ref.links[l];
+    EXPECT_EQ(got.a, want.a) << "link " << l;
+    EXPECT_EQ(got.b, want.b) << "link " << l;
+    EXPECT_EQ(got.delay_ms, want.delay_ms) << "link " << l;
+    EXPECT_EQ(got.capacity_kbps, want.capacity_kbps) << "link " << l;
+    EXPECT_EQ(got.ip_hops, want.ip_hops) << "link " << l;
+  }
+  EXPECT_EQ(ov.underwired_peers(), ref.underwired_peers);
+  EXPECT_EQ(rng(), ref_rng());
+  // One search per peer; none of them enters the tree cache.
+  EXPECT_EQ(router.recomputes(), nodes.size());
+  EXPECT_EQ(router.cached_sources(), 0u);
+}
+
+TEST(Overlay, ExactBuildMatchesFullTreeReference) {
+  const OverlayKind kinds[] = {OverlayKind::kNearestMesh,
+                               OverlayKind::kRandom};
+  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    Rng gen(seed);
+    const net::Topology topos[] = {net::power_law(400, 2, gen),
+                                   net::waxman(400, 0.4, 0.2, gen),
+                                   net::random_graph(400, 400, gen)};
+    for (const net::Topology& topo : topos) {
+      for (const std::size_t peers : {50u, 200u}) {
+        std::vector<net::NodeIdx> nodes;
+        for (std::size_t idx : gen.sample_indices(400, peers)) {
+          nodes.push_back(net::NodeIdx(idx));
+        }
+        std::sort(nodes.begin(), nodes.end());  // as build_sim_scenario
+        for (OverlayKind kind : kinds) {
+          expect_matches_reference(topo, nodes, kind, 6, seed);
+        }
+      }
+    }
+  }
+
+  Rng gen(34);
+  const net::Topology topo = net::power_law(300, 2, gen);
+  // Unsorted peer nodes, as make_overlay passes them.
+  std::vector<net::NodeIdx> unsorted;
+  for (std::size_t idx : gen.sample_indices(300, 40)) {
+    unsorted.push_back(net::NodeIdx(idx));
+  }
+  ASSERT_FALSE(std::is_sorted(unsorted.begin(), unsorted.end()));
+  // Peers 1 and 3 share IP node 9, and peer 4 shares peer 0's node.
+  const std::vector<net::NodeIdx> shared{17, 9, 120, 9, 17, 250, 64, 3};
+  for (OverlayKind kind : kinds) {
+    expect_matches_reference(topo, unsorted, kind, 4, 35);
+    expect_matches_reference(topo, shared, kind, 3, 36);
+  }
+
+  // The 6-peer, degree-16 dense world of
+  // DenseRandomWiringFallsBackDeterministically.
+  Rng dense_gen(24);
+  const net::Topology dense = net::power_law(60, 2, dense_gen);
+  for (OverlayKind kind : kinds) {
+    expect_matches_reference(dense, {2, 7, 11, 23, 31, 47}, kind, 16, 24);
+  }
+
+  // Peers 1 (node 3) and 2 (node 2) tie 2 ms from peer 0 (node 0) as its
+  // second nearest, behind peer 3 (node 1, 1 ms). Node 2 settles first,
+  // but the lower peer index wins the tie: peer 0 links to 3 and 1.
+  const net::Topology tie(4, {{0, 1, 1.0, 100.0},
+                              {0, 2, 2.0, 50.0},
+                              {0, 3, 2.0, 80.0}});
+  const std::vector<net::NodeIdx> tie_nodes{0, 3, 2, 1};
+  for (OverlayKind kind : kinds) {
+    expect_matches_reference(tie, tie_nodes, kind, 2, 37);
+  }
+  net::Router router(tie);
+  Rng rng(37);
+  const OverlayNetwork ov = OverlayNetwork::from_topology(
+      tie, router, tie_nodes, OverlayKind::kNearestMesh, 2, rng);
+  EXPECT_TRUE(ov.are_neighbors(0, 3));
+  EXPECT_TRUE(ov.are_neighbors(0, 1));
+  ASSERT_GE(ov.link_count(), 2u);
+  EXPECT_EQ(ov.link(1).a, 0u);
+  EXPECT_EQ(ov.link(1).b, 1u);
+  EXPECT_EQ(ov.link(1).capacity_kbps, 80.0);
+}
+
+TEST(Overlay, NodesSettledCountsBothLayers) {
+  // Line 0-1-...-7 at 1 ms a hop; peer 0 on node 1, peer 1 on node 3,
+  // degree 1, so each peer's nearest peer is also its ring successor.
+  std::vector<net::Link> line;
+  for (net::NodeIdx v = 0; v + 1 < 8; ++v) {
+    line.push_back({v, v + 1, 1.0, 100.0});
+  }
+  const net::Topology topo(8, line);
+  net::Router router(topo);
+  Rng rng(1);
+  OverlayNetwork ov = OverlayNetwork::from_topology(
+      topo, router, {1, 3}, OverlayKind::kNearestMesh, 1, rng);
+  // Peer 0 settles nodes 1, 0, 2, 3 (peer 1, 2 ms) and then 4 (3 ms),
+  // which proves nothing else ties at 2 ms. Peer 1 settles 3, 2, 4, 1
+  // (peer 0), the 2 ms tie 5, then 0 at 3 ms. 5 + 6 of 16 nodes.
+  EXPECT_EQ(router.recomputes(), 2u);
+  EXPECT_EQ(router.nodes_settled(), 11u);
+  ASSERT_EQ(ov.link_count(), 1u);
+  EXPECT_EQ(ov.link(0).delay_ms, 2.0);
+  EXPECT_EQ(ov.link(0).ip_hops, 2u);
+
+  // Overlay route trees: two live peers, then one, then a dead source.
+  EXPECT_EQ(ov.nodes_settled(), 0u);
+  ov.route(0, 1);
+  ov.route(0, 1);  // cached
+  EXPECT_EQ(ov.nodes_settled(), 2u);
+  ov.route(1, 0);
+  EXPECT_EQ(ov.nodes_settled(), 4u);
+  ov.set_alive(1, false);
+  EXPECT_FALSE(ov.route(0, 1)->valid);
+  EXPECT_EQ(ov.nodes_settled(), 5u);
+  EXPECT_FALSE(ov.route(1, 0)->valid);
+  EXPECT_EQ(ov.nodes_settled(), 5u);
+  EXPECT_EQ(ov.route_trees_computed(), 4u);
+}
+
+TEST(OverlayDeath, ExactBuildRejectsDisconnectedTopology) {
+  // Two components, {0, 1, 2} and {3, 4, 5}, with two peers in each.
+  const net::Topology split(6, {{0, 1, 1.0, 100.0},
+                                {1, 2, 1.0, 100.0},
+                                {3, 4, 1.0, 100.0},
+                                {4, 5, 1.0, 100.0}});
+  for (OverlayKind kind : {OverlayKind::kNearestMesh, OverlayKind::kRandom}) {
+    for (const std::size_t degree : {1u, 2u}) {
+      EXPECT_DEATH(
+          {
+            net::Router router(split);
+            Rng rng(3);
+            OverlayNetwork::from_topology(split, router, {0, 2, 3, 5}, kind,
+                                          degree, rng);
+          },
+          "IP topology must be connected");
+    }
+  }
 }
 
 }  // namespace

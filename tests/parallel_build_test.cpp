@@ -11,6 +11,7 @@
 
 #include "net/generator.hpp"
 #include "net/landmark.hpp"
+#include "net/router.hpp"
 #include "overlay/overlay.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -80,6 +81,40 @@ TEST(ParallelBuildTest, EstimatedOverlayIsIdenticalAtAnyJobCount) {
   }
 }
 
+TEST(ParallelBuildTest, ExactOverlayIsIdenticalAtAnyJobCount) {
+  const net::Topology topo = test_topology(9, 300);
+  std::vector<net::NodeIdx> peers;
+  for (net::NodeIdx t = 0; t < 300; t += 2) peers.push_back(t);
+
+  for (overlay::OverlayKind kind : {overlay::OverlayKind::kNearestMesh,
+                                    overlay::OverlayKind::kRandom}) {
+    auto build = [&](std::size_t jobs, net::Router& router) {
+      Rng rng(77);
+      return overlay::OverlayNetwork::from_topology(topo, router, peers, kind,
+                                                    5, rng, jobs);
+    };
+    net::Router serial_router(topo), parallel_router(topo);
+    const overlay::OverlayNetwork serial = build(1, serial_router);
+    const overlay::OverlayNetwork parallel = build(4, parallel_router);
+
+    ASSERT_EQ(serial.link_count(), parallel.link_count());
+    for (overlay::OverlayLinkId l = 0; l < serial.link_count(); ++l) {
+      const overlay::OverlayLink& a = serial.link(l);
+      const overlay::OverlayLink& b = parallel.link(l);
+      EXPECT_EQ(a.a, b.a) << "link " << l;
+      EXPECT_EQ(a.b, b.b) << "link " << l;
+      EXPECT_EQ(a.delay_ms, b.delay_ms) << "link " << l;
+      EXPECT_EQ(a.capacity_kbps, b.capacity_kbps) << "link " << l;
+      EXPECT_EQ(a.ip_hops, b.ip_hops) << "link " << l;
+    }
+    EXPECT_EQ(serial.underwired_peers(), parallel.underwired_peers());
+    // One search per peer, counted once after the fan-out.
+    EXPECT_EQ(serial_router.recomputes(), peers.size());
+    EXPECT_EQ(parallel_router.recomputes(), peers.size());
+    EXPECT_EQ(serial_router.nodes_settled(), parallel_router.nodes_settled());
+  }
+}
+
 workload::SimScenarioConfig scenario_config(std::size_t build_jobs) {
   workload::SimScenarioConfig config;
   config.seed = 1234;
@@ -130,6 +165,40 @@ TEST(ParallelBuildTest, SimScenarioIsIdenticalAtAnyBuildJobCount) {
     EXPECT_EQ(serial->deployment->dht().route_readonly(0, key).path,
               parallel->deployment->dht().route_readonly(0, key).path)
         << "key " << k;
+  }
+}
+
+TEST(ParallelBuildTest, ExactSimScenarioIsIdenticalAtAnyBuildJobCount) {
+  workload::SimScenarioConfig serial_config = scenario_config(1);
+  workload::SimScenarioConfig parallel_config = scenario_config(4);
+  for (auto* config : {&serial_config, &parallel_config}) {
+    config->use_latency_estimator = false;
+    config->ip_nodes = 1200;
+    config->peers = 500;
+    config->router_cache_limit = 8;
+  }
+  auto serial = workload::build_sim_scenario(serial_config);
+  auto parallel = workload::build_sim_scenario(parallel_config);
+  expect_same_world(*serial, *parallel);
+
+  const overlay::OverlayNetwork& oa = serial->deployment->overlay();
+  const overlay::OverlayNetwork& ob = parallel->deployment->overlay();
+  ASSERT_EQ(oa.link_count(), ob.link_count());
+  for (overlay::OverlayLinkId l = 0; l < oa.link_count(); ++l) {
+    EXPECT_EQ(oa.link(l).a, ob.link(l).a) << "link " << l;
+    EXPECT_EQ(oa.link(l).b, ob.link(l).b) << "link " << l;
+    EXPECT_EQ(oa.link(l).delay_ms, ob.link(l).delay_ms) << "link " << l;
+    EXPECT_EQ(oa.link(l).capacity_kbps, ob.link(l).capacity_kbps);
+    EXPECT_EQ(oa.link(l).ip_hops, ob.link(l).ip_hops);
+  }
+  EXPECT_EQ(serial->router->recomputes(), serial_config.peers);
+  EXPECT_EQ(parallel->router->recomputes(), serial_config.peers);
+  EXPECT_EQ(serial->router->nodes_settled(), parallel->router->nodes_settled());
+  EXPECT_EQ(oa.nodes_settled(), ob.nodes_settled());
+  for (overlay::PeerId p = 0; p < serial->deployment->peer_count(); p += 97) {
+    EXPECT_EQ(serial->deployment->dht().leaf_set(p).members(),
+              parallel->deployment->dht().leaf_set(p).members())
+        << "leaf set of peer " << p;
   }
 }
 

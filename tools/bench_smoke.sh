@@ -5,8 +5,9 @@
 # --jobs $SPIDER_SMOKE_JOBS (default 4) and its stdout + metrics JSON are
 # diffed byte-for-byte against the serial run (DESIGN.md §5f). The
 # bench_scale quick tier (1k/2k peers) runs next; its per-row probe
-# message counts are compared exactly against the scale_rows baseline and
-# its BENCH_scale.json lands at $SPIDER_SCALE_JSON_OUT for CI to archive.
+# message counts, and the IP nodes the exact worlds' builds settled, are
+# compared exactly against the scale_rows baseline and its
+# BENCH_scale.json lands at $SPIDER_SCALE_JSON_OUT for CI to archive.
 # A third scale pass re-runs the quick tier with --build-jobs
 # $SPIDER_SMOKE_JOBS (parallel world construction, DESIGN.md §5k) and
 # byte-diffs its stdout against the serial build.
