@@ -72,16 +72,33 @@ inline BenchArgs parse_args(int argc, char** argv,
 }
 
 /// Writes `metrics` to `args.metrics_out` if set; prints the outcome.
+/// A failed write ends the process with exit status 1.
 inline void maybe_write_metrics(const BenchArgs& args,
                                 const obs::MetricsRegistry& metrics) {
   if (args.metrics_out.empty()) return;
-  if (metrics.write_json(args.metrics_out)) {
-    std::printf("metrics: wrote %zu instruments to %s\n", metrics.size(),
-                args.metrics_out.c_str());
-  } else {
+  if (!metrics.write_json(args.metrics_out)) {
     std::fprintf(stderr, "metrics: failed to write %s\n",
                  args.metrics_out.c_str());
+    std::exit(1);
   }
+  std::printf("metrics: wrote %zu instruments to %s\n", metrics.size(),
+              args.metrics_out.c_str());
+}
+
+/// Closes a JSON artifact that `bench` wrote to `path` and reports the
+/// outcome: "<bench>: wrote <path>" on stdout, or "<bench>: failed to
+/// write <path>" on stderr when any write or the close failed (the
+/// close flushes, so a full disk shows up there). Returns false on
+/// failure; the caller exits non-zero.
+inline bool close_json(std::FILE* f, const char* bench,
+                       const std::string& path) {
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "%s: failed to write %s\n", bench, path.c_str());
+    return false;
+  }
+  std::printf("%s: wrote %s\n", bench, path.c_str());
+  return true;
 }
 
 /// Fixed-width table printer for figure output.

@@ -263,8 +263,7 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(jf, "\n  ]\n}\n");
-  std::fclose(jf);
-  std::printf("communities: wrote %s\n", args.json_out.c_str());
+  if (!close_json(jf, "communities", args.json_out)) return 1;
 
   // Self-assert 1: attaching a single-community map must not change a
   // single counter versus the flat baseline (same beta, same stream).

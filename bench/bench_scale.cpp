@@ -403,8 +403,7 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(jf, "\n  ]\n}\n");
-  std::fclose(jf);
-  std::printf("scale: wrote %s\n", args.json_out.c_str());
+  if (!close_json(jf, "scale", args.json_out)) return 1;
 
   if (args.xl) {
     bool violations = false;

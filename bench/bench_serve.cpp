@@ -533,8 +533,7 @@ int main(int argc, char** argv) {
     std::fprintf(jf, "]}%s\n", ci + 1 < cells.size() ? "," : "");
   }
   std::fprintf(jf, "  ]\n}\n");
-  std::fclose(jf);
-  std::printf("serve: wrote %s\n", args.json_out.c_str());
+  if (!close_json(jf, "serve", args.json_out)) return 1;
 
   obs::MetricsRegistry metrics;
   if (with_metrics) {

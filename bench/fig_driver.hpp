@@ -145,17 +145,8 @@ inline CampaignResult run_campaign(const CampaignConfig& config, Algo algo,
       if (!r.best.qos.within(req.qos_req)) return;
       if (!s->evaluator->levels_compatible(r.best, req)) return;
       session = s->alloc->new_session_id();
-      std::vector<std::pair<overlay::PeerId, service::Resources>> peers;
-      for (const auto& m : r.best.mapping) {
-        peers.emplace_back(m.host, m.required);
-      }
-      std::vector<std::pair<overlay::OverlayLinkId, double>> links;
-      for (const auto& hop : r.best.hops) {
-        for (auto link : hop.path.links) {
-          links.emplace_back(link, req.bandwidth_kbps);
-        }
-      }
-      if (s->alloc->grant_direct(session, peers, links)) {
+      if (s->alloc->grant_direct(
+              session, service::GraphDemand(r.best, req.bandwidth_kbps))) {
         success = true;
         if (measuring) {
           result.selected_psi.add(r.best.psi_cost);

@@ -50,62 +50,45 @@ void AllocationManager::update_outstanding_gauges() {
   }
 }
 
-void AllocationManager::purge_hold(HoldId hold_id) {
+std::optional<AllocationManager::Hold> AllocationManager::remove_hold(
+    HoldId hold_id, obs::Counter* outcome) {
   // A path hold spans several links and its expiry may be observed from
-  // any of them; purge it from *every* structure it touches at once so
+  // any of them; remove it from *every* structure it touches at once so
   // no link/peer keeps a dangling entry (and the outstanding-hold gauge
   // never disagrees with availability).
   auto it = holds_.find(hold_id);
-  if (it == holds_.end()) return;
-  const Hold& hold = it->second;
+  if (it == holds_.end()) return std::nullopt;
+  Hold hold = std::move(it->second);
+  holds_.erase(it);
   if (hold.peer != overlay::kInvalidPeer) {
     peer_state_[hold.peer].soft.erase(hold_id);
   }
   for (overlay::OverlayLinkId link : hold.links) {
     link_state_[link].soft.erase(hold_id);
   }
-  holds_.erase(it);
-  if (m_expired_ != nullptr) m_expired_->inc();
+  if (outcome != nullptr) outcome->inc();
+  return hold;
 }
 
-void AllocationManager::purge_expired_peer(PeerState& state) {
+template <class HoldMap>
+void AllocationManager::purge_expired(const HoldMap& holds) {
   const sim::Time now = sim_->now();
-  // Collect first: purge_hold mutates state.soft.
+  // Collect first: remove_hold mutates `holds`.
   std::vector<HoldId> expired;
-  for (const auto& [id, ph] : state.soft) {
-    if (ph.expire_at <= now) expired.push_back(id);
-  }
-  if (expired.empty()) return;
-  for (HoldId id : expired) purge_hold(id);
-  update_outstanding_gauges();
-}
-
-void AllocationManager::purge_expired_link(LinkState& state) {
-  const sim::Time now = sim_->now();
-  std::vector<HoldId> expired;
-  for (const auto& [id, lh] : state.soft) {
-    if (lh.expire_at <= now) expired.push_back(id);
-  }
-  if (expired.empty()) return;
-  for (HoldId id : expired) purge_hold(id);
-  update_outstanding_gauges();
-}
-
-void AllocationManager::sweep_expired() {
-  const sim::Time now = sim_->now();
-  std::vector<HoldId> expired;
-  for (const auto& [id, hold] : holds_) {
+  for (const auto& [id, hold] : holds) {
     if (hold.expire_at <= now) expired.push_back(id);
   }
   if (expired.empty()) return;
-  for (HoldId id : expired) purge_hold(id);
+  for (HoldId id : expired) remove_hold(id, m_expired_);
   update_outstanding_gauges();
 }
+
+void AllocationManager::sweep_expired() { purge_expired(holds_); }
 
 service::Resources AllocationManager::peer_available(PeerId peer) {
   SPIDER_REQUIRE(peer < peer_state_.size());
   PeerState& state = peer_state_[peer];
-  purge_expired_peer(state);
+  purge_expired(state.soft);
   service::Resources avail = deployment_->capacity(peer) - state.confirmed;
   for (const auto& [hold, ph] : state.soft) avail -= ph.amount;
   return avail;
@@ -114,7 +97,7 @@ service::Resources AllocationManager::peer_available(PeerId peer) {
 double AllocationManager::link_available_kbps(overlay::OverlayLinkId link) {
   SPIDER_REQUIRE(link < link_state_.size());
   LinkState& state = link_state_[link];
-  purge_expired_link(state);
+  purge_expired(state.soft);
   double avail =
       deployment_->overlay().link(link).capacity_kbps - state.confirmed_kbps;
   for (const auto& [hold, lh] : state.soft) avail -= lh.kbps;
@@ -169,41 +152,31 @@ std::optional<HoldId> AllocationManager::soft_reserve_path(
 
 bool AllocationManager::confirm(HoldId hold_id, SessionId session) {
   auto it = holds_.find(hold_id);
-  if (it == holds_.end()) {
+  if (it == holds_.end() || it->second.expire_at <= sim_->now()) {
+    if (it != holds_.end()) release_hold(hold_id);
     if (m_confirm_failures_ != nullptr) m_confirm_failures_->inc();
     return false;
   }
-  const Hold& hold = it->second;
-  if (hold.expire_at <= sim_->now()) {
-    release_hold(hold_id);
-    if (m_confirm_failures_ != nullptr) m_confirm_failures_->inc();
-    return false;
-  }
-  Grant grant;
-  grant.session = session;
-  if (hold.peer != overlay::kInvalidPeer) {
-    grant.peer = hold.peer;
-    grant.peer_amount = hold.peer_amount;
-    peer_state_[hold.peer].confirmed += hold.peer_amount;
-    granted_total_ += hold.peer_amount;
-    peer_state_[hold.peer].soft.erase(hold_id);
-  }
-  if (!hold.links.empty()) {
-    grant.links = hold.links;
-    grant.kbps = hold.kbps;
-    for (overlay::OverlayLinkId link : hold.links) {
-      link_state_[link].confirmed_kbps += hold.kbps;
-      link_state_[link].soft.erase(hold_id);
-    }
-  }
-  grants_[session].push_back(std::move(grant));
-  holds_.erase(it);
+  Hold hold = *remove_hold(hold_id, nullptr);
+  add_grant(Grant{session, hold.peer, hold.peer_amount, std::move(hold.links),
+                  hold.kbps});
   stamp_lease(session);
   if (m_confirmed_ != nullptr) {
     m_confirmed_->inc();
     update_outstanding_gauges();
   }
   return true;
+}
+
+void AllocationManager::add_grant(Grant grant) {
+  if (grant.peer != overlay::kInvalidPeer) {
+    peer_state_[grant.peer].confirmed += grant.peer_amount;
+    granted_total_ += grant.peer_amount;
+  }
+  for (overlay::OverlayLinkId link : grant.links) {
+    link_state_[link].confirmed_kbps += grant.kbps;
+  }
+  grants_[grant.session].push_back(std::move(grant));
 }
 
 void AllocationManager::refresh_capacity_snapshot() {
@@ -425,20 +398,7 @@ std::size_t AllocationManager::reclaim_expired_leases() {
 }
 
 void AllocationManager::release_hold(HoldId hold_id) {
-  auto it = holds_.find(hold_id);
-  if (it == holds_.end()) return;
-  const Hold& hold = it->second;
-  if (hold.peer != overlay::kInvalidPeer) {
-    peer_state_[hold.peer].soft.erase(hold_id);
-  }
-  for (overlay::OverlayLinkId link : hold.links) {
-    link_state_[link].soft.erase(hold_id);
-  }
-  holds_.erase(it);
-  if (m_released_ != nullptr) {
-    m_released_->inc();
-    update_outstanding_gauges();
-  }
+  if (remove_hold(hold_id, m_released_)) update_outstanding_gauges();
 }
 
 void AllocationManager::release_session(SessionId session) {
@@ -458,50 +418,17 @@ void AllocationManager::release_session(SessionId session) {
   update_outstanding_gauges();
 }
 
-bool AllocationManager::grant_direct(
-    SessionId session,
-    const std::vector<std::pair<PeerId, service::Resources>>& peer_demands,
-    const std::vector<std::pair<overlay::OverlayLinkId, double>>& link_demands) {
-  // Aggregate duplicate peers/links first so the feasibility check is
-  // exact when a graph places several components on one peer.
-  std::unordered_map<PeerId, service::Resources> per_peer;
-  for (const auto& [peer, amount] : peer_demands) {
-    auto [it, inserted] = per_peer.emplace(peer, amount);
-    if (!inserted) it->second += amount;
+bool AllocationManager::grant_direct(SessionId session,
+                                     const service::GraphDemand& demand) {
+  if (!fits(demand)) {
+    if (m_direct_grant_failures_ != nullptr) m_direct_grant_failures_->inc();
+    return false;
   }
-  std::unordered_map<overlay::OverlayLinkId, double> per_link;
-  for (const auto& [link, kbps] : link_demands) {
-    per_link[link] += kbps;
+  for (const auto& [peer, amount] : demand.peers) {
+    add_grant(Grant{session, peer, amount, {}, 0.0});
   }
-  for (const auto& [peer, amount] : per_peer) {
-    if (!amount.fits_within(peer_available(peer))) {
-      if (m_direct_grant_failures_ != nullptr) m_direct_grant_failures_->inc();
-      return false;
-    }
-  }
-  for (const auto& [link, kbps] : per_link) {
-    if (link_available_kbps(link) < kbps) {
-      if (m_direct_grant_failures_ != nullptr) m_direct_grant_failures_->inc();
-      return false;
-    }
-  }
-  auto& grant_list = grants_[session];
-  for (const auto& [peer, amount] : per_peer) {
-    Grant g;
-    g.session = session;
-    g.peer = peer;
-    g.peer_amount = amount;
-    peer_state_[peer].confirmed += amount;
-    granted_total_ += amount;
-    grant_list.push_back(std::move(g));
-  }
-  for (const auto& [link, kbps] : per_link) {
-    Grant g;
-    g.session = session;
-    g.links = {link};
-    g.kbps = kbps;
-    link_state_[link].confirmed_kbps += kbps;
-    grant_list.push_back(std::move(g));
+  for (const auto& [link, kbps] : demand.links) {
+    add_grant(Grant{session, overlay::kInvalidPeer, {}, {link}, kbps});
   }
   stamp_lease(session);
   if (m_direct_grants_ != nullptr) {

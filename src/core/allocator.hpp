@@ -17,7 +17,9 @@
 // same peer/link is inspected, so no simulator events are needed. A purge
 // is complete — detecting an expired hold on one link removes it from
 // every structure it touches — and sweep_expired() purges everything at
-// once, so the outstanding-hold gauge never lags availability.
+// once, so the outstanding-hold gauge never lags availability. One scan
+// serves all three (a peer's soft map, a link's, the hold table), and
+// expiry, release and confirmation drop a hold through one removal body.
 //
 // Session grants are optionally *leased* (set_lease_ttl_ms > 0): each
 // granted session carries a renew_by deadline that renew_session() pushes
@@ -55,6 +57,7 @@
 
 #include "core/deployment.hpp"
 #include "service/qos.hpp"
+#include "service/service_graph.hpp"
 #include "sim/simulator.hpp"
 
 namespace spider::obs {
@@ -88,6 +91,19 @@ class AvailabilityView {
       avail = std::min(avail, link_available_kbps(link));
     }
     return avail;
+  }
+
+  /// True when every peer and link of `demand` has the room it asks for.
+  /// Checks peers, then links, in the demand's iteration order and stops
+  /// at the first shortfall.
+  bool fits(const service::GraphDemand& demand) {
+    for (const auto& [peer, need] : demand.peers) {
+      if (!need.fits_within(peer_available(peer))) return false;
+    }
+    for (const auto& [link, kbps] : demand.links) {
+      if (link_available_kbps(link) < kbps) return false;
+    }
+    return true;
   }
 };
 
@@ -301,13 +317,10 @@ class AllocationManager : public AvailabilityView {
   }
 
   /// Direct session grant without a prior hold (used by the baselines,
-  /// which have no probing phase). All-or-nothing across the peer demands
-  /// and link demands given. Returns false and changes nothing on failure.
-  bool grant_direct(SessionId session,
-                    const std::vector<std::pair<PeerId, service::Resources>>&
-                        peer_demands,
-                    const std::vector<std::pair<overlay::OverlayLinkId, double>>&
-                        link_demands);
+  /// which have no probing phase, and by the §5 backup switch).
+  /// All-or-nothing across the demand's peers and links; one grant per
+  /// peer and per link. Returns false and changes nothing on failure.
+  bool grant_direct(SessionId session, const service::GraphDemand& demand);
 
   // ----- introspection -----
 
@@ -375,11 +388,17 @@ class AllocationManager : public AvailabilityView {
     std::unordered_map<HoldId, LinkHold> soft;
   };
 
-  void purge_expired_peer(PeerState& state);
-  void purge_expired_link(LinkState& state);
-  /// Removes one expired hold from every structure it touches (its peer's
-  /// soft map, every link's soft map, the hold table) and counts it.
-  void purge_hold(HoldId hold);
+  /// Purges every expired entry of `holds` (a peer's or a link's soft
+  /// map, or the hold table itself), then refreshes the gauges once.
+  template <class HoldMap>
+  void purge_expired(const HoldMap& holds);
+  /// Removes one hold from every structure it touches (its peer's soft
+  /// map, every link's soft map, the hold table) and counts it in
+  /// `outcome` (released or expired; null counts nothing). Returns the
+  /// removed hold, or nullopt if it was already gone.
+  std::optional<Hold> remove_hold(HoldId hold, obs::Counter* outcome);
+  /// Records `grant` for its session and charges it to its peer or links.
+  void add_grant(Grant grant);
   void update_outstanding_gauges();
   void stamp_lease(SessionId session);
   void count_lease_reclaim(const std::vector<Grant>& grants);

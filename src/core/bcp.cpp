@@ -189,10 +189,9 @@ BcpEngine::HopDelivery BcpEngine::deliver_hop(ComposeState& state,
   if (!state.faults_active) return out;  // reliable network: one send, on time
   ComposeStats& stats = state.result.stats;
   // Initial timeout tracks the path RTT; each retry backs off.
-  double rto = std::max(config_.retx_min_rto_ms,
-                        config_.retx_rtt_factor * path.delay_ms);
+  double rto = std::max(kRetxMinRtoMs, kRetxRttFactor * path.delay_ms);
   double waited = 0.0;
-  const int attempts = 1 + std::max(config_.probe_retx_limit, 0);
+  const int attempts = 1 + kProbeRetxLimit;
   for (int a = 0; a < attempts; ++a) {
     if (a > 0) {
       // A retransmission happened: the sender's timer fired and one more
@@ -210,7 +209,7 @@ BcpEngine::HopDelivery BcpEngine::deliver_hop(ComposeState& state,
     ++stats.probe_messages_lost;
     ++stats.probe_hop_timeouts;  // the sender times out on this attempt
     waited += rto;
-    rto *= config_.retx_backoff;
+    rto *= kRetxBackoff;
   }
   out.delivered = false;
   out.added_latency_ms = waited;
@@ -263,7 +262,7 @@ int BcpEngine::coarse_select(ComposeState& state, int budget_total) {
   std::stable_sort(by_prior.begin(), by_prior.end());
 
   const int coarse_budget =
-      std::clamp(int(double(budget_total) * config_.coarse_budget_share), 1,
+      std::clamp(int(double(budget_total) * kCoarseBudgetShare), 1,
                  budget_total - 1);
   const std::size_t probed =
       std::min<std::size_t>(std::size_t(coarse_budget), community_count);
@@ -286,7 +285,7 @@ int BcpEngine::coarse_select(ComposeState& state, int budget_total) {
     stats.probe_messages += 2;  // summary request + reply
     state.coarse_time_ms =
         std::max(state.coarse_time_ms,
-                 2.0 * prior + config_.per_hop_processing_ms);
+                 2.0 * prior + kPerHopProcessingMs);
     Scored s{prior, c, 0};
     for (std::size_t f = 0; f < fns.size(); ++f) {
       const discovery::CommunitySummary* sum =
@@ -294,8 +293,8 @@ int BcpEngine::coarse_select(ComposeState& state, int budget_total) {
       if (sum == nullptr) {
         s.score += 1e9;  // missing function: near-useless on its own
       } else {
-        s.score += config_.metric_w_perf_delay * sum->min_perf_delay_ms +
-                   config_.metric_w_failure * sum->min_failure_prob;
+        s.score += kMetricWPerfDelay * sum->min_perf_delay_ms +
+                   kMetricWFailure * sum->min_failure_prob;
         s.covered_mask |= 1u << f;
       }
     }
@@ -309,14 +308,13 @@ int BcpEngine::coarse_select(ComposeState& state, int budget_total) {
 
   // Greedy cover: keep a community only while it adds coverage of a
   // requested function (always keep the best-scoring one so the fine
-  // tier has somewhere to go), capped at max_candidate_communities.
+  // tier has somewhere to go), capped at kMaxCandidateCommunities.
   const std::uint32_t full_mask =
       fns.size() >= 32 ? ~0u : (1u << fns.size()) - 1u;
   std::uint32_t covered = 0;
   for (const Scored& s : scored) {
     if (!state.allowed_communities.empty() &&
-        (state.allowed_communities.size() >=
-             config_.max_candidate_communities ||
+        (state.allowed_communities.size() >= kMaxCandidateCommunities ||
          covered == full_mask || (s.covered_mask & ~covered) == 0)) {
       continue;
     }
@@ -347,7 +345,7 @@ bool BcpEngine::init_state(ComposeState& state,
   // ---- Step 1: patterns, branches, seed probes ------------------------
   state.patterns =
       config_.use_commutation
-          ? request.graph.patterns(config_.max_patterns)
+          ? request.graph.patterns(kMaxPatterns)
           : std::vector<service::FunctionGraph>{request.graph};
   state.branches.resize(state.patterns.size());
   std::size_t total_seeds = 0;
@@ -521,7 +519,7 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
       }
       leg_extra = hd.added_latency_ms;
     }
-    probe.arrival += config_.per_hop_processing_ms + leg_delay + leg_extra;
+    probe.arrival += kPerHopProcessingMs + leg_delay + leg_extra;
     probe.qos_acc[Qos::kDelay] += leg_delay;
     if (probe.arrival > config_.probe_timeout_ms) {
       ++stats.probes_dropped_timeout;
@@ -586,16 +584,13 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
     double link = 0.0;
     if (probe.at != meta.host &&
         !ov.are_neighbors(probe.at, meta.host, &link)) {
-      link = far_guess;
-      if (config_.metric_estimate_sigma > 0.0) {
-        // Log-normal multiplier via Box–Muller over two hashed uniforms.
-        double u1 = unit_hash(noise_key);
-        if (u1 <= 0.0) u1 = 0.5;
-        const double u2 = unit_hash(noise_key + 1);
-        const double normal =
-            std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-        link *= std::exp(config_.metric_estimate_sigma * normal);
-      }
+      // Log-normal multiplier via Box–Muller over two hashed uniforms.
+      double u1 = unit_hash(noise_key);
+      if (u1 <= 0.0) u1 = 0.5;
+      const double u2 = unit_hash(noise_key + 1);
+      const double normal =
+          std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+      link = far_guess * std::exp(kMetricEstimateSigma * normal);
     }
     double bw_term = 0.0;
     if (request.bandwidth_kbps > 0.0 && probe.at != meta.host) {
@@ -603,23 +598,18 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
       const double avail =
           path->valid ? state.own_view.path_available_kbps(*path) : 0.0;
       bw_term = avail >= request.bandwidth_kbps
-                    ? config_.metric_w_bandwidth *
-                          (request.bandwidth_kbps / avail)
+                    ? kMetricWBandwidth * (request.bandwidth_kbps / avail)
                     : 1e6;  // cannot carry the stream
     }
-    const double jitter = config_.metric_jitter_ms > 0.0
-                              ? config_.metric_jitter_ms *
-                                    unit_hash(noise_key + 2)
-                              : 0.0;
+    const double jitter = kMetricJitterMs * unit_hash(noise_key + 2);
     double trust_term = 0.0;
     if (config_.trust_fn) {
       trust_term =
           config_.metric_w_trust * (1.0 - config_.trust_fn(meta.host));
     }
-    return config_.metric_w_link_delay * link +
-           config_.metric_w_perf_delay * meta.perf.delay_ms() +
-           config_.metric_w_failure * meta.failure_prob + bw_term + jitter +
-           trust_term;
+    return kMetricWLinkDelay * link +
+           kMetricWPerfDelay * meta.perf.delay_ms() +
+           kMetricWFailure * meta.failure_prob + bw_term + jitter + trust_term;
   };
   // Score once per candidate (the jitter draw must be stable for the sort
   // comparator).
@@ -691,7 +681,7 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
       leg_extra = hd.added_latency_ms;
     }
     child.arrival +=
-        disc.time_ms + config_.per_hop_processing_ms + leg_delay + leg_extra;
+        disc.time_ms + kPerHopProcessingMs + leg_delay + leg_extra;
     child.disc_acc += disc.time_ms;
     if (child.arrival > config_.probe_timeout_ms) {
       ++stats.candidates_skipped_timeout;
@@ -1055,12 +1045,12 @@ void BcpEngine::finalize(ComposeState& state) {
       result.best_holds = std::move(qualified.front().holds);
       for (std::size_t i = 1;
            i < qualified.size() &&
-           result.backups.size() < config_.max_backups_returned;
+           result.backups.size() < kMaxBackupsReturned;
            ++i) {
         result.backups.push_back(std::move(qualified[i].graph));
       }
       stats.setup_time_ms = last_arrival + evaluator_->ack_time_ms(result.best) +
-                            config_.per_hop_processing_ms + ack_extra_ms;
+                            kPerHopProcessingMs + ack_extra_ms;
     } else {
       ++stats.setup_acks_lost;
       // The source sat through the ack's retransmission timeouts for

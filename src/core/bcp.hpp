@@ -67,6 +67,66 @@ enum class QuotaPolicy {
 /// the Fig 11 prototype experiment asks for minimum end-to-end delay).
 enum class SelectionObjective { kMinPsi, kMinDelay };
 
+// Engine constants: probing settings no caller tunes. Each is named once
+// here and read by the engine (and by the tests that bound its output).
+
+/// Cap on commutation-derived composition patterns explored per request.
+inline constexpr std::size_t kMaxPatterns = 8;
+/// Per-hop probe processing cost added to the latency model.
+inline constexpr double kPerHopProcessingMs = 2.0;
+/// Cap on qualified graphs returned beyond the best (backup pool).
+inline constexpr std::size_t kMaxBackupsReturned = 16;
+/// Composite next-hop metric weights (step 2.3): lower score is better.
+inline constexpr double kMetricWLinkDelay = 1.0;
+inline constexpr double kMetricWPerfDelay = 1.0;
+/// ms-equivalent per unit failure probability.
+inline constexpr double kMetricWFailure = 2000.0;
+/// Weight of the bandwidth-headroom term (ms-equivalent when the stream
+/// would consume the path's entire remaining bandwidth). Candidates on
+/// paths that cannot carry the stream sort last.
+inline constexpr double kMetricWBandwidth = 100.0;
+/// Uniform per-candidate jitter added to the selection metric. Without
+/// it every request ranks replicas identically and herds onto the same
+/// hosts, defeating load balancing; jitter decorrelates exploration
+/// while keeping good candidates likely (deterministic per request via
+/// the caller's Rng).
+inline constexpr double kMetricJitterMs = 40.0;
+/// Log-normal sigma of the peer's *estimate* of network delay to a
+/// candidate. Peers do not have precise global state (the paper's core
+/// premise, §1); their local delay estimates are off by a multiplicative
+/// factor exp(N(0, σ)). Larger budgets compensate by probing more
+/// candidates and letting the destination judge measured state.
+inline constexpr double kMetricEstimateSigma = 0.5;
+
+// ---- unreliable delivery (consulted only with a fault model attached,
+// see set_fault_model; a clean/absent model never samples) --------------
+/// Max retransmissions of one probe hop after the initial send. Each
+/// retransmission is charged against the probe's budget (floor 1), so
+/// β still bounds total probing overhead: a probe that burned budget
+/// on retransmissions explores fewer replicas downstream, and total
+/// transmissions stay <= (1 + kProbeRetxLimit) x the loss-free count.
+inline constexpr int kProbeRetxLimit = 3;
+/// Initial per-hop retransmission timeout is
+/// max(kRetxMinRtoMs, kRetxRttFactor * path delay); each further attempt
+/// multiplies it by kRetxBackoff. Waits add to the probe's arrival time
+/// (setup latency) but not to its measured path QoS.
+inline constexpr double kRetxMinRtoMs = 20.0;
+inline constexpr double kRetxRttFactor = 2.0;
+inline constexpr double kRetxBackoff = 2.0;
+
+// ---- two-tier probing (consulted only with communities attached, see
+// set_communities; flat BCP never reads these) ---------------------------
+/// Share of β spent on the coarse inter-community tier: up to
+/// ⌊β · share⌋ communities are probed for QoS summaries (1 budget unit
+/// each, clamped to [1, β−1]) before the remaining budget seeds the
+/// per-hop fine tier. Σ coarse + fine == β, so the budget invariants of
+/// §4.2 hold across both tiers.
+inline constexpr double kCoarseBudgetShare = 0.125;
+/// Cap on candidate communities the fine tier probes into; the coarse
+/// ranking greedily keeps the best-scoring communities that still add
+/// coverage of a requested function, pruning the rest.
+inline constexpr std::size_t kMaxCandidateCommunities = 4;
+
 struct BcpConfig {
   /// β: total number of probes available to a request.
   int probing_budget = 64;
@@ -81,35 +141,10 @@ struct BcpConfig {
   int max_quota = 16;
   /// Explore commutation-derived patterns (ablation A1 turns this off).
   bool use_commutation = true;
-  std::size_t max_patterns = 8;
   /// Destination collection timeout; also the soft-hold lifetime.
   double probe_timeout_ms = 8000.0;
-  /// Per-hop probe processing cost added to the latency model.
-  double per_hop_processing_ms = 2.0;
   /// Cap on merged candidate graphs evaluated at the destination.
   std::size_t max_candidates = 256;
-  /// Cap on qualified graphs returned beyond the best (backup pool).
-  std::size_t max_backups_returned = 16;
-  /// Composite next-hop metric weights (step 2.3): lower score is better.
-  double metric_w_link_delay = 1.0;
-  double metric_w_perf_delay = 1.0;
-  double metric_w_failure = 2000.0;  ///< ms-equivalent per unit probability
-  /// Weight of the bandwidth-headroom term (ms-equivalent when the stream
-  /// would consume the path's entire remaining bandwidth). Candidates on
-  /// paths that cannot carry the stream sort last.
-  double metric_w_bandwidth = 100.0;
-  /// Uniform per-candidate jitter added to the selection metric. Without
-  /// it every request ranks replicas identically and herds onto the same
-  /// hosts, defeating load balancing; jitter decorrelates exploration
-  /// while keeping good candidates likely (deterministic per request via
-  /// the caller's Rng).
-  double metric_jitter_ms = 40.0;
-  /// Log-normal sigma of the peer's *estimate* of network delay to a
-  /// candidate. Peers do not have precise global state (the paper's core
-  /// premise, §1); their local delay estimates are off by a multiplicative
-  /// factor exp(N(0, σ)). Larger budgets compensate by probing more
-  /// candidates and letting the destination judge measured state.
-  double metric_estimate_sigma = 0.5;
   SelectionObjective objective = SelectionObjective::kMinPsi;
   /// Soft resource allocation during probing (step 2.1). Turning it off
   /// (ablation A4) keeps the availability *check* but makes no
@@ -121,35 +156,6 @@ struct BcpConfig {
   /// in the next-hop metric. Null disables trust awareness.
   std::function<double(overlay::PeerId)> trust_fn;
   double metric_w_trust = 400.0;  ///< ms-equivalent at zero trust
-
-  // ---- unreliable delivery (consulted only with a fault model attached,
-  // see set_fault_model; a clean/absent model never samples) ------------
-  /// Max retransmissions of one probe hop after the initial send. Each
-  /// retransmission is charged against the probe's budget (floor 1), so
-  /// β still bounds total probing overhead: a probe that burned budget
-  /// on retransmissions explores fewer replicas downstream, and total
-  /// transmissions stay <= (1 + probe_retx_limit) x the loss-free count.
-  int probe_retx_limit = 3;
-  /// Initial per-hop retransmission timeout is
-  /// max(retx_min_rto_ms, retx_rtt_factor * path delay); each further
-  /// attempt multiplies it by retx_backoff. Waits add to the probe's
-  /// arrival time (setup latency) but not to its measured path QoS.
-  double retx_min_rto_ms = 20.0;
-  double retx_rtt_factor = 2.0;
-  double retx_backoff = 2.0;
-
-  // ---- two-tier probing (consulted only with communities attached, see
-  // set_communities; flat BCP never reads these) ------------------------
-  /// Share of β spent on the coarse inter-community tier: up to
-  /// ⌊β · share⌋ communities are probed for QoS summaries (1 budget unit
-  /// each, clamped to [1, β−1]) before the remaining budget seeds the
-  /// per-hop fine tier. Σ coarse + fine == β, so the budget invariants of
-  /// §4.2 hold across both tiers.
-  double coarse_budget_share = 0.125;
-  /// Cap on candidate communities the fine tier probes into; the coarse
-  /// ranking greedily keeps the best-scoring communities that still add
-  /// coverage of a requested function, pruning the rest.
-  std::size_t max_candidate_communities = 4;
 
   /// Test-only: spawn children by deep-copying the parent's prefix chain
   /// instead of sharing its tail. Protocol decisions, results, stats and
@@ -313,7 +319,7 @@ class BcpEngine {
   /// Attaches a link fault model (null detaches — the default). With a
   /// model attached, every probe hop samples loss/jitter per overlay
   /// link; lost hops are retransmitted with exponential backoff up to
-  /// probe_retx_limit times, charged against the probe's budget. A model
+  /// kProbeRetxLimit times, charged against the probe's budget. A model
   /// whose probabilities are all zero is never sampled, so attaching one
   /// does not change fault-free results.
   void set_fault_model(const fault::LinkFaultModel* model) { fault_ = model; }
@@ -322,7 +328,7 @@ class BcpEngine {
   /// Attaches a community partition + per-community discovery index,
   /// switching composes to two-tier probing: a coarse inter-community
   /// phase (summary probes to community heads, paid for out of β per
-  /// coarse_budget_share) selects candidate communities, then the fine
+  /// kCoarseBudgetShare) selects candidate communities, then the fine
   /// per-hop tier discovers replicas inside those communities only.
   /// Either pointer null detaches (the default — flat BCP, bit-for-bit
   /// the pre-community behavior). A map with a single community also runs

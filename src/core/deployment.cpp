@@ -16,18 +16,12 @@ dht::NodeId peer_node_id(PeerId peer) {
 
 }  // namespace
 
-Deployment::Deployment(overlay::OverlayNetwork overlay_net, Rng& rng,
-                       int leaf_set_size, int replication)
-    : Deployment(std::move(overlay_net), rng, BuildOptions{}, leaf_set_size,
-                 replication) {}
-
-Deployment::Deployment(overlay::OverlayNetwork overlay_net, Rng& rng,
-                       const BuildOptions& opts, int leaf_set_size,
+Deployment::Deployment(overlay::OverlayNetwork overlay_net,
+                       std::size_t build_jobs, int leaf_set_size,
                        int replication)
     : overlay_(std::move(overlay_net)),
       dht_(leaf_set_size, replication),
       registry_(dht_, catalog_) {
-  (void)rng;  // reserved for randomized join order experiments
   const std::size_t n = overlay_.peer_count();
   by_peer_.resize(n);
   capacity_.assign(n, service::Resources::cpu_mem(100.0, 100.0));
@@ -50,11 +44,11 @@ Deployment::Deployment(overlay::OverlayNetwork overlay_net, Rng& rng,
   std::sort(entries.begin(), entries.end());
   if (n > 0) {
     dht_.bulk_load(entries,
-                   overlay_.has_estimator() ? opts.build_jobs : std::size_t{1});
+                   overlay_.has_estimator() ? build_jobs : std::size_t{1});
   }
 }
 
-const service::ServiceComponent& Deployment::deploy_component(
+const service::ServiceComponent& Deployment::add_component(
     service::ServiceComponent component) {
   const PeerId host = component.host;
   SPIDER_REQUIRE(host < peer_count());
@@ -65,8 +59,15 @@ const service::ServiceComponent& Deployment::deploy_component(
   by_function_[component.function].push_back(id);
   auto [it, inserted] = components_.emplace(id, std::move(component));
   SPIDER_REQUIRE(inserted);
-  registry_.register_component(service::ComponentMetadata::from(it->second));
   return it->second;
+}
+
+const service::ServiceComponent& Deployment::deploy_component(
+    service::ServiceComponent component) {
+  const service::ServiceComponent& stored =
+      add_component(std::move(component));
+  registry_.register_component(service::ComponentMetadata::from(stored));
+  return stored;
 }
 
 void Deployment::deploy_components(
@@ -74,16 +75,8 @@ void Deployment::deploy_components(
   std::vector<service::ComponentMetadata> metas;
   metas.reserve(components.size());
   for (service::ServiceComponent& component : components) {
-    const PeerId host = component.host;
-    SPIDER_REQUIRE(host < peer_count());
-    SPIDER_REQUIRE(component.function != service::kInvalidFunction);
-    component.id = service::make_component_id(host, next_local_id_[host]++);
-    const service::ComponentId id = component.id;
-    by_peer_[host].push_back(id);
-    by_function_[component.function].push_back(id);
-    auto [it, inserted] = components_.emplace(id, std::move(component));
-    SPIDER_REQUIRE(inserted);
-    metas.push_back(service::ComponentMetadata::from(it->second));
+    metas.push_back(
+        service::ComponentMetadata::from(add_component(std::move(component))));
   }
   registry_.bulk_register(metas, jobs);
 }

@@ -26,24 +26,17 @@ using overlay::PeerId;
 
 class Deployment {
  public:
-  /// World-construction knobs. The initial DHT is always bulk-loaded
-  /// (canonical state straight from the sorted id space — see
-  /// PastryNetwork::bulk_load); `build_jobs` spreads the per-node fill
-  /// over a WorkerPool. State is identical at any job count; jobs > 1
-  /// needs the estimator-backed proximity hint (thread-safe), so the fill
-  /// silently runs serial when the overlay has no estimator.
-  struct BuildOptions {
-    std::size_t build_jobs = 1;
-  };
-
   /// Takes ownership of a built overlay; peers' DHT nodes are bulk-loaded
-  /// with ids derived from the peer index. `leaf_set_size`/`replication`
-  /// are forwarded to the Pastry network.
-  Deployment(overlay::OverlayNetwork overlay_net, Rng& rng,
-             int leaf_set_size = 16, int replication = 3);
-  Deployment(overlay::OverlayNetwork overlay_net, Rng& rng,
-             const BuildOptions& opts, int leaf_set_size = 16,
-             int replication = 3);
+  /// with ids derived from the peer index (canonical state straight from
+  /// the sorted id space — see PastryNetwork::bulk_load). `build_jobs`
+  /// spreads the per-node fill over a WorkerPool. State is identical at
+  /// any job count; jobs > 1 needs the estimator-backed proximity hint
+  /// (thread-safe), so the fill silently runs serial when the overlay has
+  /// no estimator. `leaf_set_size`/`replication` are forwarded to the
+  /// Pastry network.
+  explicit Deployment(overlay::OverlayNetwork overlay_net,
+                      std::size_t build_jobs = 1, int leaf_set_size = 16,
+                      int replication = 3);
 
   // Self-referential (the DHT proximity callback captures `this`).
   Deployment(const Deployment&) = delete;
@@ -121,6 +114,13 @@ class Deployment {
   std::vector<std::uint32_t> next_local_id_;
   std::uint64_t revive_counter_ = 0;
   std::uint64_t liveness_epoch_ = 0;
+
+  /// Deploy bookkeeping shared by the single and batch paths: assigns the
+  /// id from the host's counter, files it under its peer and function,
+  /// and stores it. Returns the stored instance; registration is the
+  /// caller's.
+  const service::ServiceComponent& add_component(
+      service::ServiceComponent component);
 };
 
 }  // namespace spider::core

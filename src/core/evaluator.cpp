@@ -1,9 +1,7 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/keys.hpp"
 #include "util/require.hpp"
@@ -179,28 +177,7 @@ bool GraphEvaluator::resource_feasible(
     const ServiceGraph& graph, const service::CompositeRequest& request,
     AvailabilityView* view) const {
   AvailabilityView& avail_view = view != nullptr ? *view : *alloc_;
-  // Sum demands per peer (a peer may host several of the graph's
-  // components).
-  std::unordered_map<PeerId, service::Resources> per_peer;
-  for (const auto& meta : graph.mapping) {
-    auto [it, inserted] = per_peer.emplace(meta.host, meta.required);
-    if (!inserted) it->second += meta.required;
-  }
-  for (const auto& [peer, need] : per_peer) {
-    if (!need.fits_within(avail_view.peer_available(peer))) return false;
-  }
-  if (request.bandwidth_kbps > 0.0) {
-    std::unordered_map<overlay::OverlayLinkId, double> per_link;
-    for (const ServiceLinkHop& hop : graph.hops) {
-      for (overlay::OverlayLinkId link : hop.path.links) {
-        per_link[link] += request.bandwidth_kbps;
-      }
-    }
-    for (const auto& [link, kbps] : per_link) {
-      if (avail_view.link_available_kbps(link) < kbps) return false;
-    }
-  }
-  return true;
+  return avail_view.fits(service::GraphDemand(graph, request.bandwidth_kbps));
 }
 
 double GraphEvaluator::ack_time_ms(const ServiceGraph& graph) const {

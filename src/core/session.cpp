@@ -75,8 +75,8 @@ SessionManager::CtrlOutcome SessionManager::send_control(
   const CtrlKey op{session.id, session.epoch, session.ctrl_seq++};
   const std::uint64_t op_key =
       util::hash_values(tag, op.session, op.epoch, op.seq);
-  const int max_attempts = 1 + std::max(config_.ctrl_retry_limit, 0);
-  double rto = std::max(config_.ctrl_min_rto_ms, 1.0);
+  const int max_attempts = 1 + kCtrlRetryLimit;
+  double rto = kCtrlMinRtoMs;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) {
       // Exponential backoff between attempts. The exchange is synchronous
@@ -278,14 +278,33 @@ SessionId SessionManager::establish(const service::CompositeRequest& request,
     for (HoldId hold : composed.best_holds) alloc_->release_hold(hold);
     return kInvalidSession;
   }
+  return activate(id, request, std::move(composed.best),
+                  std::move(composed.backups));
+}
 
+SessionId SessionManager::establish_direct(
+    const service::CompositeRequest& request, service::ServiceGraph graph,
+    std::vector<service::ServiceGraph> backup_pool) {
+  SPIDER_REQUIRE(graph.evaluated);
+  const SessionId id = alloc_->new_session_id();
+  if (!alloc_->grant_direct(
+          id, service::GraphDemand(graph, request.bandwidth_kbps))) {
+    return kInvalidSession;
+  }
+  return activate(id, request, std::move(graph), std::move(backup_pool));
+}
+
+SessionId SessionManager::activate(SessionId id,
+                                   const service::CompositeRequest& request,
+                                   ServiceGraph graph,
+                                   std::vector<ServiceGraph> backup_pool) {
   Session session;
   session.id = id;
   session.request = request;
-  session.active = std::move(composed.best);
+  session.active = std::move(graph);
 
-  // Confirm leg: the source tells the graph's peers their holds are now
-  // session grants. Under the fault model this is a retried round-trip;
+  // Confirm leg: the source tells the graph's peers their grants are now
+  // a session. Under the fault model this is a retried round-trip;
   // without one it trivially succeeds.
   const CtrlOutcome confirm =
       send_control(session, kCtrlConfirm, graph_route(session.active));
@@ -305,65 +324,10 @@ SessionId SessionManager::establish(const service::CompositeRequest& request,
   session.state = SessionState::kActive;
 
   if (config_.proactive) {
-    const int gamma = backup_count(session.active, request,
-                                   composed.backups.size() + 1);
-    // Non-selected qualified graphs flow straight into the replenishment
-    // pool; nothing is copied and nothing needs a same_mapping rescan.
-    session.backups = select_backups(session.active,
-                                     std::move(composed.backups),
-                                     std::size_t(gamma),
-                                     config_.backup_policy, &policy_rng_,
-                                     &session.pool);
-    stats_.backup_count_sum += double(session.backups.size());
-    ++stats_.backup_count_samples;
-  }
-
-  sessions_.emplace(id, std::move(session));
-  count(&SessionStats::established);
-  update_active_gauge();
-  return id;
-}
-
-SessionId SessionManager::establish_direct(
-    const service::CompositeRequest& request, service::ServiceGraph graph,
-    std::vector<service::ServiceGraph> backup_pool) {
-  SPIDER_REQUIRE(graph.evaluated);
-  const SessionId id = alloc_->new_session_id();
-
-  std::vector<std::pair<PeerId, service::Resources>> peer_demands;
-  for (const auto& meta : graph.mapping) {
-    peer_demands.emplace_back(meta.host, meta.required);
-  }
-  std::vector<std::pair<overlay::OverlayLinkId, double>> link_demands;
-  if (request.bandwidth_kbps > 0.0) {
-    for (const auto& hop : graph.hops) {
-      for (overlay::OverlayLinkId link : hop.path.links) {
-        link_demands.emplace_back(link, request.bandwidth_kbps);
-      }
-    }
-  }
-  if (!alloc_->grant_direct(id, peer_demands, link_demands)) {
-    return kInvalidSession;
-  }
-
-  Session session;
-  session.id = id;
-  session.request = request;
-  session.active = std::move(graph);
-  // Same confirm leg as establish(): direct admission still has to tell
-  // the graph's peers they are part of a session now.
-  const CtrlOutcome confirm =
-      send_control(session, kCtrlConfirm, graph_route(session.active));
-  if (!confirm.acked) {
-    count(&SessionStats::confirms_lost);
-    if (!confirm.applied) alloc_->release_session(id);
-    erase_session(id);
-    return kInvalidSession;
-  }
-  session.state = SessionState::kActive;
-  if (config_.proactive) {
     const int gamma =
         backup_count(session.active, request, backup_pool.size() + 1);
+    // Non-selected qualified graphs flow straight into the replenishment
+    // pool; nothing is copied and nothing needs a same_mapping rescan.
     session.backups = select_backups(session.active, std::move(backup_pool),
                                      std::size_t(gamma),
                                      config_.backup_policy, &policy_rng_,
@@ -371,6 +335,7 @@ SessionId SessionManager::establish_direct(
     stats_.backup_count_sum += double(session.backups.size());
     ++stats_.backup_count_samples;
   }
+
   sessions_.emplace(id, std::move(session));
   count(&SessionStats::established);
   update_active_gauge();
@@ -427,23 +392,10 @@ bool SessionManager::admit(Session& session, ServiceGraph graph) {
   evaluator_->evaluate(graph, session.request);
   if (!evaluator_->qos_qualified(graph, session.request)) return false;
 
-  std::vector<std::pair<PeerId, service::Resources>> peer_demands;
-  for (const auto& meta : graph.mapping) {
-    peer_demands.emplace_back(meta.host, meta.required);
-  }
-  std::vector<std::pair<overlay::OverlayLinkId, double>> link_demands;
-  if (session.request.bandwidth_kbps > 0.0) {
-    for (const auto& hop : graph.hops) {
-      for (overlay::OverlayLinkId link : hop.path.links) {
-        link_demands.emplace_back(link, session.request.bandwidth_kbps);
-      }
-    }
-  }
+  const service::GraphDemand demand(graph, session.request.bandwidth_kbps);
   // Free the broken graph's grants first, then grant the replacement.
   alloc_->release_session(session.id);
-  if (!alloc_->grant_direct(session.id, peer_demands, link_demands)) {
-    return false;
-  }
+  if (!alloc_->grant_direct(session.id, demand)) return false;
   session.active = std::move(graph);
   return true;
 }
@@ -728,18 +680,16 @@ SessionManager::AuditReport SessionManager::audit() {
       lapsed.push_back(id);
       continue;
     }
-    service::Resources demand;
-    for (const auto& meta : session.active.mapping) demand += meta.required;
+    const service::GraphDemand demand(session.active,
+                                      session.request.bandwidth_kbps);
+    service::Resources peer_total;
+    for (const auto& [peer, need] : demand.peers) peer_total += need;
     double link_kbps = 0.0;
-    if (session.request.bandwidth_kbps > 0.0) {
-      for (const auto& hop : session.active.hops) {
-        link_kbps += session.request.bandwidth_kbps * double(hop.path.links.size());
-      }
-    }
+    for (const auto& [link, kbps] : demand.links) link_kbps += kbps;
     constexpr double kTol = 1e-6;
     bool ok = std::abs(totals.link_kbps_total - link_kbps) <= kTol;
     for (std::size_t i = 0; i < service::Resources::kTypes && ok; ++i) {
-      ok = std::abs(totals.peer_total.v[i] - demand.v[i]) <= kTol;
+      ok = std::abs(totals.peer_total.v[i] - peer_total.v[i]) <= kTol;
     }
     if (!ok) report.conserved = false;
     SPIDER_DCHECK(ok);

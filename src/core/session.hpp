@@ -58,6 +58,16 @@ enum class BackupPolicy {
   kMostDisjoint  ///< minimize overlap with the current graph
 };
 
+/// Retransmissions per lifecycle control leg (confirm / teardown /
+/// switch-activation) before the sender gives up — each leg gets
+/// 1 + kCtrlRetryLimit attempts. Only consulted under an active fault
+/// model.
+inline constexpr int kCtrlRetryLimit = 4;
+/// Base retransmission timeout for control legs; doubles per retry
+/// (exponential backoff). Only affects latency accounting — lifecycle
+/// exchanges are synchronous in the simulation.
+inline constexpr double kCtrlMinRtoMs = 50.0;
+
 struct RecoveryConfig {
   bool proactive = true;  ///< maintain backups (off = the Fig 9 baseline)
   /// U — upper bound on the number of backups per session (Eq. 2).
@@ -73,15 +83,6 @@ struct RecoveryConfig {
   /// probe round-trip does not trigger spurious recovery (the false-
   /// positive rate per monitor pass is ~loss^threshold).
   int liveness_miss_threshold = 1;
-  /// Retransmissions per lifecycle control leg (confirm / teardown /
-  /// switch-activation) before the sender gives up — each leg gets
-  /// 1 + ctrl_retry_limit attempts. Only consulted under an active
-  /// fault model.
-  int ctrl_retry_limit = 4;
-  /// Base retransmission timeout for control legs; doubles per retry
-  /// (exponential backoff). Only affects latency accounting — lifecycle
-  /// exchanges are synchronous in the simulation.
-  double ctrl_min_rto_ms = 50.0;
 };
 
 /// Lifecycle state of one session (see the file comment's diagram; the
@@ -203,8 +204,10 @@ class SessionManager {
 
   /// Establishes a session by direct admission of an already-selected
   /// graph (no prior soft holds — the baselines' and the no-soft-
-  /// allocation ablation's path). Returns kInvalidSession if the graph no
-  /// longer fits current availability.
+  /// allocation ablation's path): grants the graph's GraphDemand, then
+  /// runs the same confirm leg and backup selection (from `backup_pool`)
+  /// as establish(). Returns kInvalidSession if the graph no longer fits
+  /// current availability or the confirm leg is lost.
   SessionId establish_direct(const service::CompositeRequest& request,
                              service::ServiceGraph graph,
                              std::vector<service::ServiceGraph> backup_pool = {});
@@ -355,6 +358,13 @@ class SessionManager {
       const service::ServiceGraph& graph);
   /// Erases a session and its control-dedup residue.
   void erase_session(SessionId id);
+  /// The establish tail shared by both admission paths, run once `id`
+  /// holds the grants for `graph`: the confirm leg (aborting and
+  /// releasing on loss), Eq. 2's γ, backup selection from `backup_pool`,
+  /// and registration. Returns `id`, or kInvalidSession on abort.
+  SessionId activate(SessionId id, const service::CompositeRequest& request,
+                     service::ServiceGraph graph,
+                     std::vector<service::ServiceGraph> backup_pool);
 
   /// Grants a graph's demands directly (backup switch / reactive path).
   bool admit(Session& session, service::ServiceGraph graph);

@@ -1,6 +1,7 @@
 #include "dht/pastry.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
@@ -39,6 +40,12 @@ const PastryNetwork::Node& PastryNetwork::node(PeerId peer) const {
 }
 
 PastryNetwork::Node& PastryNetwork::node_by_id(NodeId id) {
+  auto it = ring_.find(id);
+  SPIDER_REQUIRE_MSG(it != ring_.end(), "unknown node id");
+  return node(it->second);
+}
+
+const PastryNetwork::Node& PastryNetwork::node_by_id(NodeId id) const {
   auto it = ring_.find(id);
   SPIDER_REQUIRE_MSG(it != ring_.end(), "unknown node id");
   return node(it->second);
@@ -294,7 +301,9 @@ std::optional<PeerId> PastryNetwork::peer_of(NodeId id) const {
   return it->second;
 }
 
-std::optional<NodeId> PastryNetwork::next_hop(Node& cur, NodeId key) {
+template <class Self, class N>
+std::optional<NodeId> PastryNetwork::next_hop(Self& self, N& cur, NodeId key) {
+  constexpr bool kRepair = !std::is_const_v<Self>;  // route(), not _readonly
   if (cur.id == key) return std::nullopt;
 
   // (1) Leaf-set delivery: if the key is within the leaf set span, the
@@ -303,10 +312,14 @@ std::optional<NodeId> PastryNetwork::next_hop(Node& cur, NodeId key) {
     for (;;) {
       const NodeId best = cur.leaves.closest(key);
       if (best == cur.id) break;
-      if (alive_id(best)) return best;
-      cur.leaves.remove(best);  // lazy repair
-      cur.table.remove(best);
-      repair_leafset(cur);
+      if (self.alive_id(best)) return best;
+      if constexpr (!kRepair) {
+        break;
+      } else {
+        cur.leaves.remove(best);  // lazy repair
+        cur.table.remove(best);
+        self.repair_leafset(cur);
+      }
     }
     // Self looks closest per the leaf set — but after heavy churn the
     // leaf set may be thin/stale. Forward to any known strictly-closer
@@ -315,7 +328,7 @@ std::optional<NodeId> PastryNetwork::next_hop(Node& cur, NodeId key) {
     std::optional<NodeId> closer;
     unsigned __int128 closer_dist = self_dist;
     for (NodeId entry : cur.table.entries()) {
-      if (!alive_id(entry)) continue;
+      if (!self.alive_id(entry)) continue;
       const unsigned __int128 d = NodeId::ring_distance(entry, key);
       if (d < closer_dist) {
         closer = entry;
@@ -328,9 +341,11 @@ std::optional<NodeId> PastryNetwork::next_hop(Node& cur, NodeId key) {
   // (2) Prefix routing.
   const int row = cur.id.shared_prefix(key);
   if (auto entry = cur.table.next_hop(key); entry.has_value()) {
-    if (alive_id(*entry)) return *entry;
-    cur.table.remove(*entry);  // lazy repair
-    cur.leaves.remove(*entry);
+    if (self.alive_id(*entry)) return *entry;
+    if constexpr (kRepair) {
+      cur.table.remove(*entry);  // lazy repair
+      cur.leaves.remove(*entry);
+    }
   }
 
   // (3) Rare case: forward to any known live node that shares at least as
@@ -339,7 +354,7 @@ std::optional<NodeId> PastryNetwork::next_hop(Node& cur, NodeId key) {
   std::optional<NodeId> fallback;
   unsigned __int128 fallback_dist = self_dist;
   auto consider = [&](NodeId candidate) {
-    if (!alive_id(candidate)) return;
+    if (!self.alive_id(candidate)) return;
     if (candidate.shared_prefix(key) < row) return;
     const unsigned __int128 d = NodeId::ring_distance(candidate, key);
     if (d < fallback_dist) {
@@ -352,70 +367,40 @@ std::optional<NodeId> PastryNetwork::next_hop(Node& cur, NodeId key) {
   return fallback;  // nullopt -> deliver here (best effort)
 }
 
-std::optional<NodeId> PastryNetwork::next_hop_readonly(const Node& cur,
-                                                       NodeId key) const {
-  if (cur.id == key) return std::nullopt;
-
-  // (1) Leaf-set delivery. All-alive precondition: the repair loop in
-  // next_hop() never fires, so one closest() call decides.
-  if (cur.leaves.covers(key)) {
-    const NodeId best = cur.leaves.closest(key);
-    if (best != cur.id && alive_id(best)) return best;
-    const unsigned __int128 self_dist = NodeId::ring_distance(cur.id, key);
-    std::optional<NodeId> closer;
-    unsigned __int128 closer_dist = self_dist;
-    for (NodeId entry : cur.table.entries()) {
-      if (!alive_id(entry)) continue;
-      const unsigned __int128 d = NodeId::ring_distance(entry, key);
-      if (d < closer_dist) {
-        closer = entry;
-        closer_dist = d;
-      }
-    }
-    return closer;  // nullopt -> deliver here
+template <class Self>
+RouteResult PastryNetwork::walk(Self& self, PeerId from, NodeId key) {
+  RouteResult result;
+  SPIDER_REQUIRE(self.alive(from));
+  result.path.push_back(from);
+  auto* cur = &self.node(from);
+  for (int guard = 0; guard < 2 * kDigitsPerId + int(self.leaf_half_) * 4;
+       ++guard) {
+    std::optional<NodeId> nxt = next_hop(self, *cur, key);
+    if (!nxt.has_value()) break;
+    cur = &self.node_by_id(*nxt);
+    result.path.push_back(cur->peer);
   }
-
-  // (2) Prefix routing.
-  const int row = cur.id.shared_prefix(key);
-  if (auto entry = cur.table.next_hop(key); entry.has_value()) {
-    if (alive_id(*entry)) return *entry;
-  }
-
-  // (3) Fallback: any known live node sharing at least as long a prefix
-  // and strictly closer to the key.
-  const unsigned __int128 self_dist = NodeId::ring_distance(cur.id, key);
-  std::optional<NodeId> fallback;
-  unsigned __int128 fallback_dist = self_dist;
-  auto consider = [&](NodeId candidate) {
-    if (!alive_id(candidate)) return;
-    if (candidate.shared_prefix(key) < row) return;
-    const unsigned __int128 d = NodeId::ring_distance(candidate, key);
-    if (d < fallback_dist) {
-      fallback = candidate;
-      fallback_dist = d;
-    }
-  };
-  for (NodeId member : cur.leaves.members()) consider(member);
-  for (NodeId entry : cur.table.entries()) consider(entry);
-  return fallback;  // nullopt -> deliver here (best effort)
+  // If the loop guard tripped, deliver best effort at the current node.
+  result.ok = true;
+  return result;
 }
 
 RouteResult PastryNetwork::route_readonly(PeerId from, NodeId key) const {
-  RouteResult result;
-  SPIDER_REQUIRE(alive(from));
-  result.path.push_back(from);
-  const Node* cur = &node(from);
-  for (int guard = 0; guard < 2 * kDigitsPerId + int(leaf_half_) * 4;
-       ++guard) {
-    std::optional<NodeId> nxt = next_hop_readonly(*cur, key);
-    if (!nxt.has_value()) break;
-    auto it = ring_.find(*nxt);
-    SPIDER_REQUIRE_MSG(it != ring_.end(), "unknown node id");
-    cur = &node(it->second);
-    result.path.push_back(cur->peer);
-  }
-  result.ok = true;
+  return walk(*this, from, key);
+}
+
+RouteResult PastryNetwork::route(PeerId from, NodeId key) {
+  RouteResult result = walk(*this, from, key);
+  count_route(result);
   return result;
+}
+
+void PastryNetwork::count_route(const RouteResult& route) {
+  messages_ += route.hops();
+  if (m_routes_ != nullptr) {
+    m_routes_->inc();
+    m_route_hops_->inc(route.hops());
+  }
 }
 
 void PastryNetwork::bulk_put(const std::vector<BulkPutItem>& items,
@@ -430,34 +415,9 @@ void PastryNetwork::bulk_put(const std::vector<BulkPutItem>& items,
   // would have done, message/metric accounting included.
   for (std::size_t i = 0; i < items.size(); ++i) {
     const RouteResult& r = routes[i];
-    messages_ += r.hops();
-    if (m_routes_ != nullptr) {
-      m_routes_->inc();
-      m_route_hops_->inc(r.hops());
-    }
+    count_route(r);
     if (r.ok) store_at_replicas(node(r.target()), items[i].key, items[i].value);
   }
-}
-
-RouteResult PastryNetwork::route(PeerId from, NodeId key) {
-  RouteResult result;
-  SPIDER_REQUIRE(alive(from));
-  result.path.push_back(from);
-  Node* cur = &node(from);
-  for (int guard = 0; guard < 2 * kDigitsPerId + int(leaf_half_) * 4; ++guard) {
-    std::optional<NodeId> nxt = next_hop(*cur, key);
-    if (!nxt.has_value()) break;
-    cur = &node_by_id(*nxt);
-    result.path.push_back(cur->peer);
-    ++messages_;
-  }
-  // If the loop guard tripped, deliver best effort at the current node.
-  result.ok = true;
-  if (m_routes_ != nullptr) {
-    m_routes_->inc();
-    m_route_hops_->inc(result.hops());
-  }
-  return result;
 }
 
 void PastryNetwork::append_unique(std::vector<std::string>& list,

@@ -194,15 +194,22 @@ class PastryNetwork {
   Node& node(PeerId peer);
   const Node& node(PeerId peer) const;
   Node& node_by_id(NodeId id);
+  const Node& node_by_id(NodeId id) const;
   bool alive_id(NodeId id) const;
 
   /// One protocol routing step at `cur` toward `key`; returns the next
-  /// node id or nullopt when `cur` is the delivery node. Removes dead
-  /// entries it trips over (lazy repair).
-  std::optional<NodeId> next_hop(Node& cur, NodeId key);
-  /// next_hop minus the repair writes; identical decisions when every
-  /// node is alive (the repair branches are then unreachable).
-  std::optional<NodeId> next_hop_readonly(const Node& cur, NodeId key) const;
+  /// node id or nullopt when `cur` is the delivery node. Lazy repair is
+  /// chosen at compile time by the constness of `self`: a mutable
+  /// network (route) removes the dead entries it trips over, a const one
+  /// (route_readonly) only reads. With every node alive the repair
+  /// branches are unreachable, so both decide identically.
+  template <class Self, class N>
+  static std::optional<NodeId> next_hop(Self& self, N& cur, NodeId key);
+  /// The hop-by-hop route walk over next_hop, with no accounting.
+  template <class Self>
+  static RouteResult walk(Self& self, PeerId from, NodeId key);
+  /// Counts one routed operation: its hop messages and dht.* metrics.
+  void count_route(const RouteResult& route);
   /// Fills one bulk-loaded node's leaf set and routing table from the
   /// sorted id array (bulk_load's per-node worker body).
   void bulk_fill_node(Node& x,

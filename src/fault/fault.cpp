@@ -21,6 +21,32 @@ bool LinkFaultModel::active() const {
   return false;
 }
 
+bool LinkFaultModel::draw(const LinkFaultProfile& p, std::uint64_t k,
+                          DeliveryOutcome& out) const {
+  // Three independent draws per (message, link): loss, jitter, reorder.
+  if (p.loss > 0.0 && unit_hash(k) < p.loss) {
+    out = DeliveryOutcome{false, 0.0, false};
+    if (m_lost_ != nullptr) m_lost_->inc();
+    return false;
+  }
+  if (p.jitter_ms > 0.0) {
+    const double extra = p.jitter_ms * unit_hash(k + 1);
+    out.extra_delay_ms += extra;
+    if (extra > 0.0 && m_delayed_ != nullptr) m_delayed_->inc();
+  }
+  if (p.reorder > 0.0 && unit_hash(k + 2) < p.reorder) {
+    out.extra_delay_ms += p.reorder_window_ms * unit_hash(k + 3);
+    out.reordered = true;
+  }
+  return true;
+}
+
+DeliveryOutcome LinkFaultModel::delivered(DeliveryOutcome out) const {
+  if (out.reordered && m_reordered_ != nullptr) m_reordered_->inc();
+  if (m_delivered_ != nullptr) m_delivered_->inc();
+  return out;
+}
+
 DeliveryOutcome LinkFaultModel::sample_path(
     std::span<const OverlayLinkId> links, std::uint64_t msg_key) const {
   DeliveryOutcome out;
@@ -28,29 +54,11 @@ DeliveryOutcome LinkFaultModel::sample_path(
   for (OverlayLinkId link : links) {
     const LinkFaultProfile& p = profile(link);
     if (p.clean()) continue;
-    // Three independent draws per (message, link): loss, jitter, reorder.
     const std::uint64_t k =
         base ^ (std::uint64_t(link) + 1) * 0x9e3779b97f4a7c15ULL;
-    if (p.loss > 0.0 && unit_hash(k) < p.loss) {
-      out.delivered = false;
-      out.extra_delay_ms = 0.0;
-      out.reordered = false;
-      if (m_lost_ != nullptr) m_lost_->inc();
-      return out;
-    }
-    if (p.jitter_ms > 0.0) {
-      const double extra = p.jitter_ms * unit_hash(k + 1);
-      out.extra_delay_ms += extra;
-      if (extra > 0.0 && m_delayed_ != nullptr) m_delayed_->inc();
-    }
-    if (p.reorder > 0.0 && unit_hash(k + 2) < p.reorder) {
-      out.extra_delay_ms += p.reorder_window_ms * unit_hash(k + 3);
-      out.reordered = true;
-    }
+    if (!draw(p, k, out)) return out;
   }
-  if (out.reordered && m_reordered_ != nullptr) m_reordered_->inc();
-  if (m_delivered_ != nullptr) m_delivered_->inc();
-  return out;
+  return delivered(out);
 }
 
 DeliveryOutcome LinkFaultModel::sample_round_trip(
@@ -70,27 +78,10 @@ DeliveryOutcome LinkFaultModel::sample_round_trip(
 
 DeliveryOutcome LinkFaultModel::sample_default(std::uint64_t msg_key) const {
   DeliveryOutcome out;
-  const LinkFaultProfile& p = default_;
-  if (p.clean()) return out;
-  // Same draw layout as sample_path, with a link-independent key.
-  const std::uint64_t k = seed_ ^ util::mix64(msg_key);
-  if (p.loss > 0.0 && unit_hash(k) < p.loss) {
-    out.delivered = false;
-    if (m_lost_ != nullptr) m_lost_->inc();
-    return out;
-  }
-  if (p.jitter_ms > 0.0) {
-    const double extra = p.jitter_ms * unit_hash(k + 1);
-    out.extra_delay_ms += extra;
-    if (extra > 0.0 && m_delayed_ != nullptr) m_delayed_->inc();
-  }
-  if (p.reorder > 0.0 && unit_hash(k + 2) < p.reorder) {
-    out.extra_delay_ms += p.reorder_window_ms * unit_hash(k + 3);
-    out.reordered = true;
-    if (m_reordered_ != nullptr) m_reordered_->inc();
-  }
-  if (m_delivered_ != nullptr) m_delivered_->inc();
-  return out;
+  if (default_.clean()) return out;
+  // The path draws of one link, with a link-independent key.
+  if (!draw(default_, seed_ ^ util::mix64(msg_key), out)) return out;
+  return delivered(out);
 }
 
 void LinkFaultModel::set_metrics(obs::MetricsRegistry* metrics) {

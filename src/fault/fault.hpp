@@ -123,6 +123,14 @@ class LinkFaultModel {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
+  /// One link's draws for a message under draw key `k`: loss, jitter,
+  /// reorder. Adds jitter and reorder delay to `out`; on loss resets
+  /// `out` to undelivered, counts it and returns false.
+  bool draw(const LinkFaultProfile& p, std::uint64_t k,
+            DeliveryOutcome& out) const;
+  /// Counts a message that survived every link and returns it.
+  DeliveryOutcome delivered(DeliveryOutcome out) const;
+
   LinkFaultProfile default_;
   std::unordered_map<OverlayLinkId, LinkFaultProfile> overrides_;
   std::uint64_t seed_ = 0xfa17u;

@@ -113,8 +113,8 @@ bool MetricsRegistry::write_json(const std::string& path) const {
   const std::string body = to_json();
   const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
                   std::fputc('\n', f) != EOF;
-  std::fclose(f);
-  return ok;
+  // The close flushes the buffered body: a full disk shows up here.
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace spider::obs

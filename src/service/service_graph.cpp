@@ -40,4 +40,15 @@ bool ServiceGraph::same_mapping(const ServiceGraph& other) const {
   return true;
 }
 
+GraphDemand::GraphDemand(const ServiceGraph& graph, double kbps) {
+  for (const ComponentMetadata& meta : graph.mapping) {
+    auto [it, inserted] = peers.emplace(meta.host, meta.required);
+    if (!inserted) it->second += meta.required;
+  }
+  if (kbps <= 0.0) return;
+  for (const ServiceLinkHop& hop : graph.hops) {
+    for (overlay::OverlayLinkId link : hop.path.links) links[link] += kbps;
+  }
+}
+
 }  // namespace spider::service

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -71,6 +72,22 @@ struct ServiceGraph {
   std::size_t overlap(const ServiceGraph& other) const;
   /// True when both graphs bind every shared function to the same replica.
   bool same_mapping(const ServiceGraph& other) const;
+};
+
+/// What a resolved service graph asks of its peers and links while a
+/// session holds it: the summed component resources per hosting peer
+/// (a peer may host several of the graph's components) and the stream
+/// rate summed per overlay link (several hops may cross one link). The
+/// soft allocation of §4.2 step 2.1, its direct-grant twin and the §5
+/// backup switch all admit exactly this. Peers are inserted in mapping
+/// order and links in hop order, so iteration order is a pure function
+/// of the graph; a zero stream rate demands no link at all.
+struct GraphDemand {
+  GraphDemand() = default;
+  GraphDemand(const ServiceGraph& graph, double kbps);
+
+  std::unordered_map<overlay::PeerId, Resources> peers;
+  std::unordered_map<overlay::OverlayLinkId, double> links;
 };
 
 }  // namespace spider::service

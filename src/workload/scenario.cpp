@@ -95,8 +95,8 @@ std::unique_ptr<Scenario> build_sim_scenario(const SimScenarioConfig& config) {
     s->build_timings.estimator_ms = ms_since(t0);
   }
   t0 = BuildClock::now();
-  s->deployment = std::make_unique<core::Deployment>(
-      std::move(ov), s->rng, core::Deployment::BuildOptions{config.build_jobs});
+  s->deployment =
+      std::make_unique<core::Deployment>(std::move(ov), config.build_jobs);
   s->build_timings.dht_ms = ms_since(t0);
   s->alloc =
       std::make_unique<core::AllocationManager>(*s->deployment, s->sim);
@@ -209,7 +209,7 @@ std::unique_ptr<Scenario> build_planetlab_scenario(
 
   overlay::OverlayNetwork ov = overlay::OverlayNetwork::from_planetlab(
       *s->planetlab, config.overlay_kind, config.overlay_degree, s->rng);
-  s->deployment = std::make_unique<core::Deployment>(std::move(ov), s->rng);
+  s->deployment = std::make_unique<core::Deployment>(std::move(ov));
   s->alloc =
       std::make_unique<core::AllocationManager>(*s->deployment, s->sim);
   s->evaluator =

@@ -252,8 +252,9 @@ TEST(AdmissionCapacityTest, GrantUtilizationTracksChurnWithoutRearming) {
 
   // Grant one session 10 cpu directly on peer 0.
   const SessionId session = alloc.new_session_id();
-  ASSERT_TRUE(alloc.grant_direct(
-      session, {{0, service::Resources::cpu_mem(10.0, 0.0)}}, {}));
+  service::GraphDemand demand;
+  demand.peers.emplace(0, service::Resources::cpu_mem(10.0, 0.0));
+  ASSERT_TRUE(alloc.grant_direct(session, demand));
   const double util_full = alloc.grant_utilization();
   ASSERT_GT(util_full, 0.0);
 

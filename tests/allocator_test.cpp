@@ -26,7 +26,7 @@ class AllocatorTest : public ::testing::Test {
     auto ov = overlay::OverlayNetwork::from_topology(
         *topo_, *router_, std::move(nodes),
         overlay::OverlayKind::kNearestMesh, 3, rng);
-    deployment_ = std::make_unique<Deployment>(std::move(ov), rng, 8, 3);
+    deployment_ = std::make_unique<Deployment>(std::move(ov), 1, 8, 3);
     for (PeerId p = 0; p < deployment_->peer_count(); ++p) {
       deployment_->set_capacity(p, Resources::cpu_mem(10, 10));
     }
@@ -123,18 +123,25 @@ TEST_F(AllocatorTest, PathConfirmAndRelease) {
   EXPECT_NEAR(alloc_->path_available_kbps(path), before, 1e-6);
 }
 
+/// Demand of a graph whose two components both sit on peer 0.
+service::GraphDemand two_on_peer_zero(double cpu_each) {
+  service::ServiceGraph graph;
+  graph.mapping.resize(2);
+  for (auto& meta : graph.mapping) {
+    meta.host = 0;
+    meta.required = Resources::cpu_mem(cpu_each, 1);
+  }
+  return service::GraphDemand(graph, 0.0);
+}
+
 TEST_F(AllocatorTest, GrantDirectAggregatesDuplicates) {
   const SessionId session = alloc_->new_session_id();
   // Two components on the same peer demanding 6+6 > 10 must be rejected
   // as a unit.
-  EXPECT_FALSE(alloc_->grant_direct(
-      session,
-      {{0, Resources::cpu_mem(6, 1)}, {0, Resources::cpu_mem(6, 1)}}, {}));
+  EXPECT_FALSE(alloc_->grant_direct(session, two_on_peer_zero(6)));
   EXPECT_DOUBLE_EQ(alloc_->peer_available(0).cpu(), 10.0);
   // 4+4 fits.
-  EXPECT_TRUE(alloc_->grant_direct(
-      session,
-      {{0, Resources::cpu_mem(4, 1)}, {0, Resources::cpu_mem(4, 1)}}, {}));
+  EXPECT_TRUE(alloc_->grant_direct(session, two_on_peer_zero(4)));
   EXPECT_DOUBLE_EQ(alloc_->peer_available(0).cpu(), 2.0);
   alloc_->release_session(session);
   EXPECT_DOUBLE_EQ(alloc_->peer_available(0).cpu(), 10.0);

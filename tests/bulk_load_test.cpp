@@ -142,6 +142,32 @@ TEST(BulkLoadParityTest, LargeBulkLoadDeliversToTheOracleOwner) {
   }
 }
 
+TEST(BulkLoadParityTest, ReadOnlyRouteMatchesRepairingRoute) {
+  // bulk_put's parallel phase trusts this: with every node alive, the
+  // repairing walk has nothing to repair, so both walks take the same
+  // hops. Keys cover hashed lookups and every node id itself (delivery
+  // at the key's own node).
+  const std::size_t n = 150;
+  const auto entries = make_entries(41, n);
+  PastryNetwork net = bulk_built(entries, 16, /*jobs=*/1,
+                                 /*candidate_budget=*/8);
+  std::vector<NodeId> keys;
+  for (const auto& [id, peer] : entries) keys.push_back(id);
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    keys.push_back(NodeId::hash_of("walk:" + std::to_string(k)));
+  }
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    for (const PeerId from : {PeerId(k % n), PeerId((k * 53 + 7) % n)}) {
+      const RouteResult readonly = net.route_readonly(from, keys[k]);
+      const std::uint64_t before = net.messages_sent();
+      const RouteResult routed = net.route(from, keys[k]);
+      EXPECT_EQ(routed.path, readonly.path)
+          << "key " << k << " from peer " << from;
+      EXPECT_EQ(net.messages_sent() - before, routed.hops());
+    }
+  }
+}
+
 TEST(BulkPutTest, MatchesSequentialPutsIncludingMessageTotals) {
   const std::size_t n = 64;
   const auto entries = make_entries(31, n);

@@ -235,12 +235,12 @@ TEST(TwoTierBcp, FineDiscoveryStaysInsideSelectedCommunities) {
     core::ComposeResult r = engine.compose(req, rng);
     if (!r.success) continue;
     // Every selected component's host must sit in one of at most
-    // max_candidate_communities communities.
+    // kMaxCandidateCommunities communities.
     std::set<CommunityId> used;
     for (const auto& meta : r.best.mapping) {
       used.insert(s->communities->community_of(meta.host));
     }
-    EXPECT_LE(used.size(), engine.config().max_candidate_communities);
+    EXPECT_LE(used.size(), core::kMaxCandidateCommunities);
     for (core::HoldId h : r.best_holds) s->alloc->release_hold(h);
   }
 }

@@ -65,7 +65,7 @@ class RegistryTest : public ::testing::Test {
         topo, router, std::move(nodes), overlay::OverlayKind::kNearestMesh, 4,
         rng);
     deployment_ =
-        std::make_unique<core::Deployment>(std::move(ov), rng, 8, 3);
+        std::make_unique<core::Deployment>(std::move(ov), 1, 8, 3);
     deployment_->catalog().intern("fn/filter");
     deployment_->catalog().intern("fn/scale");
   }

@@ -148,9 +148,8 @@ TEST(BcpFaultTest, RetransmissionIsBudgetBounded) {
   core::ComposeStats stats;
   const ComposeResult r = compose_with_model(7, &model, &stats);
   EXPECT_FALSE(r.success) << "nothing can be composed when no message lands";
-  const BcpConfig defaults;
   EXPECT_LE(stats.probe_messages,
-            (1u + std::uint64_t(defaults.probe_retx_limit)) *
+            (1u + std::uint64_t(core::kProbeRetxLimit)) *
                 clean_stats.probe_messages);
   EXPECT_EQ(stats.probes_arrived, 0u);
 }

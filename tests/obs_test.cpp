@@ -175,6 +175,14 @@ TEST(Metrics, WriteJsonToFile) {
   EXPECT_DOUBLE_EQ(parsed->find("counters")->number_or("a", 0.0), 1.0);
 }
 
+TEST(Metrics, WriteJsonReportsAFailedClose) {
+  // /dev/full accepts the open and the buffered writes; the flush at
+  // close fails with ENOSPC, so the snapshot was lost.
+  MetricsRegistry reg;
+  reg.counter("a").inc();
+  EXPECT_FALSE(reg.write_json("/dev/full"));
+}
+
 TEST(Metrics, MergeSumsAllInstrumentKinds) {
   MetricsRegistry a, b;
   a.counter("c").inc(3);

@@ -305,7 +305,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorProperty, ::testing::Values(11, 22, 33)
 //   * probe transmissions <= (1 + retx) x (β + 1) x (L + 1): each probe
 //     attempts at most `budget` fanout sends per hop plus one final leg,
 //     the ack walks <= L + 1 legs, and the fault model retransmits each
-//     at most probe_retx_limit times.
+//     at most kProbeRetxLimit times.
 // The per-spawn invariant (Σ child budgets <= parent, every child within
 // the parent's grant) is asserted by SPIDER_DCHECK at the spawn sites and
 // therefore enforced across this whole suite in debug/sanitizer builds.
@@ -344,7 +344,7 @@ TEST_P(BudgetProperty, BetaIsAHardCeiling) {
         << "than the budget admits";
     EXPECT_LE(r.stats.probes_spawned, std::uint64_t(beta) * legs)
         << "round " << round;
-    const std::uint64_t attempts = 1 + std::uint64_t(config.probe_retx_limit);
+    const std::uint64_t attempts = 1 + std::uint64_t(core::kProbeRetxLimit);
     EXPECT_LE(r.stats.probe_messages,
               attempts * std::uint64_t(beta + 1) * legs)
         << "round " << round;
@@ -412,7 +412,7 @@ TEST_P(BudgetProperty, BetaIsConservedAcrossCoarseAndFineTiers) {
     EXPECT_LE(r.stats.communities_pruned, r.stats.coarse_probes);
     EXPECT_LE(r.stats.probes_spawned, std::uint64_t(beta) * legs)
         << "round " << round;
-    const std::uint64_t attempts = 1 + std::uint64_t(config.probe_retx_limit);
+    const std::uint64_t attempts = 1 + std::uint64_t(core::kProbeRetxLimit);
     EXPECT_LE(r.stats.probe_messages,
               attempts * std::uint64_t(beta + 1) * legs +
                   2 * r.stats.coarse_probes)

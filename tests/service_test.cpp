@@ -210,5 +210,45 @@ TEST(ServiceGraph, OverlapAndUses) {
   EXPECT_TRUE(a.same_mapping(a));
 }
 
+/// A resolved three-component graph: components 0 and 2 share peer 5,
+/// and overlay link 7 carries both the source->0 and the 1->2 hop.
+ServiceGraph shared_graph() {
+  ServiceGraph g;
+  const overlay::PeerId hosts[] = {5, 6, 5};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    ComponentMetadata m;
+    m.id = make_component_id(hosts[i], i);
+    m.host = hosts[i];
+    m.required = Resources::cpu_mem(1.0 + i, 2.0);
+    g.mapping.push_back(m);
+  }
+  const std::vector<std::vector<overlay::OverlayLinkId>> hop_links = {
+      {7, 8}, {9}, {7}, {}};  // the last hop is co-located
+  for (const auto& links : hop_links) {
+    ServiceLinkHop hop;
+    hop.path.links = links;
+    g.hops.push_back(hop);
+  }
+  return g;
+}
+
+TEST(GraphDemand, SumsSharedPeersAndLinks) {
+  const GraphDemand demand(shared_graph(), 300.0);
+  ASSERT_EQ(demand.peers.size(), 2u);
+  EXPECT_DOUBLE_EQ(demand.peers.at(5).cpu(), 1.0 + 3.0);
+  EXPECT_DOUBLE_EQ(demand.peers.at(5).memory(), 4.0);
+  EXPECT_DOUBLE_EQ(demand.peers.at(6).cpu(), 2.0);
+  ASSERT_EQ(demand.links.size(), 3u);
+  EXPECT_DOUBLE_EQ(demand.links.at(7), 600.0);
+  EXPECT_DOUBLE_EQ(demand.links.at(8), 300.0);
+  EXPECT_DOUBLE_EQ(demand.links.at(9), 300.0);
+}
+
+TEST(GraphDemand, ZeroBandwidthDemandsNoLinks) {
+  const GraphDemand demand(shared_graph(), 0.0);
+  EXPECT_EQ(demand.peers.size(), 2u);
+  EXPECT_TRUE(demand.links.empty());
+}
+
 }  // namespace
 }  // namespace spider::service

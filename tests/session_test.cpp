@@ -301,6 +301,115 @@ TEST_F(SessionTest, TotalLossAbortsEstablishCleanly) {
   EXPECT_EQ(manager_->active_sessions(), 0u);
 }
 
+// ---- direct admission (establish_direct) ---------------------------------
+
+/// The fixture's world, standalone, so two runs can be compared side by
+/// side.
+struct SessionWorld {
+  std::unique_ptr<workload::Scenario> s = spider::testing::small_scenario(17, 64);
+  BcpEngine engine{*s->deployment, *s->alloc, *s->evaluator, s->sim,
+                   [] {
+                     BcpConfig config;
+                     config.probing_budget = 128;
+                     return config;
+                   }()};
+  SessionManager manager{*s->deployment, *s->alloc, *s->evaluator, engine,
+                         s->sim, [] {
+                           RecoveryConfig recovery;
+                           recovery.backup_aggressiveness = 30.0;
+                           return recovery;
+                         }()};
+};
+
+TEST_F(SessionTest, EstablishDirectGrantsExactlyTheGraphDemand) {
+  auto req = spider::testing::easy_request(*scenario_);
+  ComposeResult r = engine_->compose(req, rng_);
+  ASSERT_TRUE(r.success);
+  for (HoldId h : r.best_holds) scenario_->alloc->release_hold(h);
+  ASSERT_EQ(scenario_->alloc->active_holds(), 0u);
+
+  service::Resources components;
+  for (const auto& meta : r.best.mapping) components += meta.required;
+  double link_kbps = 0.0;
+  for (const auto& hop : r.best.hops) {
+    link_kbps += req.bandwidth_kbps * double(hop.path.links.size());
+  }
+  ASSERT_GT(link_kbps, 0.0);
+  const service::GraphDemand demand(r.best, req.bandwidth_kbps);
+
+  const SessionId id = manager_->establish_direct(req, r.best);
+  ASSERT_NE(id, kInvalidSession);
+  EXPECT_EQ(manager_->session_state(id), SessionState::kActive);
+  const auto totals = scenario_->alloc->session_grant_totals(id);
+  EXPECT_NEAR(totals.peer_total.cpu(), components.cpu(), 1e-9);
+  EXPECT_NEAR(totals.peer_total.memory(), components.memory(), 1e-9);
+  EXPECT_NEAR(totals.link_kbps_total, link_kbps, 1e-6);
+  EXPECT_EQ(totals.grant_count, demand.peers.size() + demand.links.size())
+      << "one grant per peer and per link";
+  EXPECT_TRUE(manager_->audit().conserved);
+  manager_->teardown(id);
+  EXPECT_EQ(scenario_->alloc->active_grants(), 0u);
+}
+
+TEST(SessionDirectTest, EstablishDirectSelectsBackupsLikeEstablish) {
+  // Two identical worlds run the same compose. One establishes through
+  // its holds; the other releases them and admits the same graph and
+  // pool directly. Both must keep the same backups: as many, and the same
+  // one takes over when the active graph breaks.
+  SessionWorld held, direct;
+  Rng rng_held(23), rng_direct(23);
+  const auto req =
+      spider::testing::backup_request(*held.s, held.engine, rng_held);
+  spider::testing::backup_request(*direct.s, direct.engine, rng_direct);
+  ComposeResult a = held.engine.compose(req, rng_held);
+  ComposeResult b = direct.engine.compose(req, rng_direct);
+  ASSERT_TRUE(a.success);
+  ASSERT_TRUE(b.success);
+  ASSERT_TRUE(a.best.same_mapping(b.best));
+  ASSERT_EQ(a.backups.size(), b.backups.size());
+  for (HoldId h : b.best_holds) direct.s->alloc->release_hold(h);
+
+  const SessionId ia = held.manager.establish(req, std::move(a));
+  const SessionId ib =
+      direct.manager.establish_direct(req, b.best, std::move(b.backups));
+  ASSERT_NE(ia, kInvalidSession);
+  ASSERT_NE(ib, kInvalidSession);
+  ASSERT_GT(held.manager.backup_count_of(ia), 0u);
+  EXPECT_EQ(direct.manager.backup_count_of(ib),
+            held.manager.backup_count_of(ia));
+
+  const PeerId victim = held.manager.active_graph(ia)->mapping[0].host;
+  held.s->deployment->kill_peer(victim);
+  direct.s->deployment->kill_peer(victim);
+  Rng recover_held(5), recover_direct(5);
+  const auto out_held = held.manager.on_peer_failed(victim, recover_held);
+  const auto out_direct = direct.manager.on_peer_failed(victim, recover_direct);
+  ASSERT_EQ(out_held, std::vector{RecoveryOutcome::kSwitchedToBackup});
+  EXPECT_EQ(out_direct, out_held);
+  const ServiceGraph* now_held = held.manager.active_graph(ia);
+  const ServiceGraph* now_direct = direct.manager.active_graph(ib);
+  ASSERT_NE(now_held, nullptr);
+  ASSERT_NE(now_direct, nullptr);
+  EXPECT_TRUE(now_direct->same_mapping(*now_held));
+}
+
+TEST_F(SessionTest, EstablishDirectTotalLossAbortsWithoutGrants) {
+  auto req = spider::testing::easy_request(*scenario_);
+  ComposeResult r = engine_->compose(req, rng_);
+  ASSERT_TRUE(r.success);
+  for (HoldId h : r.best_holds) scenario_->alloc->release_hold(h);
+
+  // The direct grant succeeds, then every confirm-leg request is lost:
+  // the session aborts and releases what it was granted.
+  const auto model = fault::LinkFaultModel::uniform_loss(1.0);
+  manager_->set_fault_model(&model);
+  EXPECT_EQ(manager_->establish_direct(req, r.best), kInvalidSession);
+  EXPECT_EQ(manager_->stats().confirms_lost, 1u);
+  EXPECT_EQ(scenario_->alloc->active_grants(), 0u);
+  EXPECT_EQ(scenario_->alloc->active_holds(), 0u);
+  EXPECT_EQ(manager_->active_sessions(), 0u);
+}
+
 TEST_F(SessionTest, LostTeardownStrandsGrantsUntilAuditReclaims) {
   auto req = spider::testing::easy_request(*scenario_);
   const SessionId id = compose_and_establish(req);
