@@ -359,6 +359,17 @@ void OverlayNetwork::build_adjacency() {
   }
   alive_.assign(n, true);
   live_count_ = n;
+  // A route is a simple path, so its computed delay stays below twice the
+  // sum of all delays; a delay above that bound's rounding unit lengthens
+  // every route it extends.
+  double total_ms = 0.0;
+  double least_ms = std::numeric_limits<double>::infinity();
+  for (const OverlayLink& l : links_) {
+    total_ms += l.delay_ms;
+    least_ms = std::min(least_ms, l.delay_ms);
+  }
+  trees_repairable_ =
+      least_ms > 2.0 * total_ms * std::numeric_limits<double>::epsilon();
 }
 
 std::span<const OverlayAdjacency> OverlayNetwork::neighbors(PeerId p) const {
@@ -394,20 +405,25 @@ void OverlayNetwork::set_alive(PeerId p, bool alive) {
   if (alive_[p] == alive) return;
   alive_[p] = alive;
   live_count_ += alive ? 1 : std::size_t(-1);
-  tree_cache_.clear();
+  tree_cache_.erase(p);  // recomputed, and counted, on its next use
+  if (trees_repairable_) {
+    tree_cache_.for_each([&](PeerId, RouteTree& tree) {
+      nodes_settled_ +=
+          alive ? net::repair_after_insertion(tree, p, live_edges())
+                : net::repair_after_deletion(tree, p, kInvalidOverlayLink,
+                                             live_edges());
+    });
+  } else {
+    tree_cache_.clear();
+  }
   path_cache_.clear();
   ++route_cache_clears_;  // every outstanding OverlayPathRef is now invalid
 }
 
 OverlayNetwork::RouteTree OverlayNetwork::compute_tree(PeerId src) const {
   if (!alive_[src]) return RouteTree(src, peer_count(), kInvalidOverlayLink);
-  return net::shortest_path_tree(
-      peer_count(), src, kInvalidOverlayLink, [this](PeerId u, auto&& relax) {
-        for (const OverlayAdjacency& adj : neighbors(u)) {
-          if (!alive_[adj.neighbor]) continue;
-          relax(adj.neighbor, adj.link, links_[adj.link].delay_ms);
-        }
-      });
+  return net::shortest_path_tree(peer_count(), src, kInvalidOverlayLink,
+                                 live_edges());
 }
 
 OverlayPath OverlayNetwork::materialize(PeerId dst,

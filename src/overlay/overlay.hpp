@@ -24,7 +24,9 @@
 // all n peers.
 //
 // Peers can be marked dead (churn).  Overlay routing is min-delay Dijkstra
-// over live peers; route caches are invalidated on liveness changes.
+// over live peers.  A liveness change repairs every cached tree in place to
+// exactly the tree a fresh Dijkstra would build, drops the changed peer's
+// own tree and clears the materialized paths.
 // Bandwidth *capacity* lives here; availability accounting (soft/confirmed
 // reservations) is the core allocator's job.
 #pragma once
@@ -179,7 +181,10 @@ class OverlayNetwork {
   /// "how far is the world" yardstick a peer can derive locally.
   double mean_neighbor_delay(PeerId p) const;
   std::size_t live_count() const { return live_count_; }
-  /// Marks a peer dead/alive and invalidates route caches.
+  /// Marks a peer dead/alive. Drops p's own cached tree, repairs every
+  /// other cached tree to the tree a cold route() would now build (see
+  /// net::repair_after_deletion), and clears the path cache, so every
+  /// outstanding OverlayPathRef is invalidated.
   void set_alive(PeerId p, bool alive);
 
   /// Peers whose random wiring ended up below the requested degree even
@@ -211,10 +216,11 @@ class OverlayNetwork {
   std::uint64_t route_paths_materialized() const {
     return path_cache_.misses();
   }
-  /// Peers settled by those route trees: the routing work measure.
+  /// Peers settled by those route trees and by the repairs of cached
+  /// trees on liveness changes: the routing work measure.
   std::uint64_t nodes_settled() const { return nodes_settled_; }
   /// Epoch of the path cache: bumped whenever a cached path is evicted or
-  /// the caches are cleared. OverlayPathRef checks against it.
+  /// a liveness change clears the cache. OverlayPathRef checks against it.
   std::uint64_t route_epoch() const {
     return route_cache_clears_ + path_cache_.evictions();
   }
@@ -256,6 +262,15 @@ class OverlayNetwork {
   /// Single-source Dijkstra over live peers: parallel dist/parent arrays.
   using RouteTree = net::ShortestPathTree<OverlayLinkId>;
 
+  /// The kernel's edge visitor: the links from `u` to live peers.
+  auto live_edges() const {
+    return [this](PeerId u, auto&& relax) {
+      for (const OverlayAdjacency& adj : neighbors(u)) {
+        if (!alive_[adj.neighbor]) continue;
+        relax(adj.neighbor, adj.link, links_[adj.link].delay_ms);
+      }
+    };
+  }
   RouteTree compute_tree(PeerId src) const;
   OverlayPath materialize(PeerId dst, const RouteTree& tree) const;
 
@@ -266,10 +281,16 @@ class OverlayNetwork {
   std::vector<bool> alive_;
   std::size_t live_count_ = 0;
   std::size_t underwired_peers_ = 0;
+  // Every link delay lengthens any route it extends, which exact tree
+  // repair needs. False with a zero-delay link (two peers on one IP node)
+  // or one too short to lengthen a long route; a liveness change then
+  // drops every cached tree instead.
+  bool trees_repairable_ = true;
 
   // Lazy exact routing state: per-source Dijkstra trees (12 bytes/peer,
-  // not n OverlayPath objects) in a source-LRU, plus a bounded LRU of
-  // materialized per-pair paths. Both cleared on liveness changes.
+  // not n OverlayPath objects) in a source-LRU, repaired on liveness
+  // changes, plus a bounded LRU of materialized per-pair paths, cleared on
+  // liveness changes.
   util::LruCache<PeerId, RouteTree> tree_cache_;
   util::LruCache<util::PairKey<PeerId, PeerId>, OverlayPath, util::PairKeyHash>
       path_cache_{std::size_t(1) << 16};

@@ -2,7 +2,7 @@
 // caches at both layers. A hit refreshes the entry's recency; a miss first
 // evicts the coldest entries until there is room and only then inserts, so
 // the key being queried is never evicted. A reference returned by get()
-// stays valid until that entry is evicted or the cache is cleared.
+// stays valid until that entry is evicted, erased or the cache is cleared.
 #pragma once
 
 #include <algorithm>
@@ -49,6 +49,22 @@ class LruCache {
     entries_.emplace_front(key, make());
     index_.emplace(key, entries_.begin());
     return entries_.front().second;
+  }
+
+  /// Calls `fn(key, value)` for every entry, most recently used first,
+  /// leaving recency unchanged.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (Entry& entry : entries_) fn(std::as_const(entry.first), entry.second);
+  }
+
+  /// Drops the entry under `key`, if any; counted as neither a miss nor an
+  /// eviction.
+  void erase(const Key& key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return;
+    entries_.erase(it->second);
+    index_.erase(it);
   }
 
   /// Drops every entry; not counted as evictions.

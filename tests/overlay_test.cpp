@@ -1,10 +1,12 @@
 // Tests for the overlay layer: construction from IP topology and PlanetLab
 // matrices, metric inheritance, routing around dead peers against a
-// brute-force oracle, the shortest-path tie-break, cache invalidation on
-// liveness changes.
+// brute-force oracle, the shortest-path tie-break, exact route-tree repair
+// on kill and revive, cache invalidation on liveness changes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <utility>
@@ -288,6 +290,113 @@ TEST(Overlay, RouteMatchesBruteForceUnderChurn) {
   }
 }
 
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// Warms a tree for every source, then runs a kill/revive schedule: the
+// neighbours of the least-linked peer q die one by one until the last of
+// them cuts q off, that one revives and rejoins q, and random kills and
+// revives follow. After each change every pair routes exactly as on a
+// never-warmed twin with the same liveness, and only the changed peer's
+// own tree is recomputed; with a zero-delay link every tree is.
+void expect_repairs_match_cold(const net::Topology& topo,
+                               const std::vector<net::NodeIdx>& nodes,
+                               OverlayKind kind, std::uint64_t seed) {
+  auto build = [&] {
+    net::Router router(topo);
+    Rng rng(seed);
+    return OverlayNetwork::from_topology(topo, router, nodes, kind, 4, rng);
+  };
+  OverlayNetwork warm = build();
+  const std::size_t n = warm.peer_count();
+  bool zero_delay = false;
+  for (OverlayLinkId l = 0; l < warm.link_count(); ++l) {
+    zero_delay |= warm.link(l).delay_ms == 0.0;
+  }
+  for (PeerId u = 0; u < n; ++u) warm.route(u, PeerId((u + 1) % n));
+  ASSERT_EQ(warm.route_trees_computed(), n);
+
+  auto change = [&](PeerId p, bool up) {
+    SCOPED_TRACE(::testing::Message() << (up ? "revive " : "kill ") << p);
+    warm.set_alive(p, up);
+    OverlayNetwork cold = build();
+    for (PeerId q = 0; q < n; ++q) {
+      if (!warm.alive(q)) cold.set_alive(q, false);
+    }
+    const std::uint64_t trees = warm.route_trees_computed();
+    for (PeerId u = 0; u < n; ++u) {
+      for (PeerId v = 0; v < n; ++v) {
+        const OverlayPathRef got = warm.route(u, v);
+        const OverlayPathRef want = cold.route(u, v);
+        ASSERT_EQ(got->valid, want->valid) << u << " -> " << v;
+        ASSERT_EQ(got->links, want->links) << u << " -> " << v;
+        ASSERT_EQ(bits(got->delay_ms), bits(want->delay_ms))
+            << u << " -> " << v;
+        ASSERT_EQ(bits(got->capacity_kbps), bits(want->capacity_kbps))
+            << u << " -> " << v;
+      }
+    }
+    EXPECT_EQ(warm.route_trees_computed() - trees, zero_delay ? n : 1u);
+  };
+
+  PeerId q = 0;
+  for (PeerId p = 1; p < n; ++p) {
+    if (warm.neighbors(p).size() < warm.neighbors(q).size()) q = p;
+  }
+  std::vector<PeerId> cut;
+  for (const OverlayAdjacency& adj : warm.neighbors(q)) {
+    cut.push_back(adj.neighbor);
+  }
+  for (std::size_t i = 0; i + 1 < cut.size(); ++i) {
+    change(cut[i], false);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  PeerId far = 0;
+  while (far == q || std::find(cut.begin(), cut.end(), far) != cut.end()) {
+    ++far;
+  }
+  ASSERT_TRUE(warm.route(q, far)->valid);
+  change(cut.back(), false);
+  EXPECT_FALSE(warm.route(q, far)->valid) << "peer " << q << " is cut off";
+  change(cut.back(), true);
+  EXPECT_TRUE(warm.route(q, far)->valid) << "peer " << q << " rejoined";
+
+  Rng churn(seed + 1000);
+  for (int step = 0; step < 4 && !::testing::Test::HasFatalFailure(); ++step) {
+    const auto p = PeerId(churn.next_below(n));
+    change(p, !warm.alive(p));
+  }
+}
+
+TEST(Overlay, RepairedTreesMatchColdTreesUnderChurn) {
+  for (OverlayKind kind : {OverlayKind::kNearestMesh, OverlayKind::kRandom}) {
+    for (const std::uint64_t seed : {61u, 62u, 63u}) {
+      Rng gen(seed);
+      const net::Topology topo = net::power_law(400, 2, gen);
+      for (const std::size_t peers : {50u, 200u}) {
+        SCOPED_TRACE(::testing::Message() << "kind " << int(kind) << " seed "
+                                          << seed << " peers " << peers);
+        std::vector<net::NodeIdx> nodes;
+        for (std::size_t idx : gen.sample_indices(400, peers)) {
+          nodes.push_back(net::NodeIdx(idx));
+        }
+        expect_repairs_match_cold(topo, nodes, kind, seed);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// Peers 0 and 3, 1 and 4 share IP nodes, so the mesh joins each pair by a
+// zero-delay link, which tree repair does not support: a liveness change
+// drops every cached tree, and routes stay exact.
+TEST(Overlay, ZeroDelayLinksStillRouteExactlyUnderChurn) {
+  Rng gen(64);
+  const net::Topology topo = net::power_law(300, 2, gen);
+  const std::vector<net::NodeIdx> shared{17, 9,   120, 17, 9,  250, 64,
+                                         3,  200, 41,  88, 150, 7,  260};
+  expect_repairs_match_cold(topo, shared, OverlayKind::kNearestMesh, 65);
+}
+
 // Two equal-delay paths 0-1-3 and 0-2-3, with 0's edge to 2 listed first.
 // The kernel keeps 0-1-3: equal delays leave the frontier lowest node
 // first (first-queued would pick 2), and an equal-delay relaxation never
@@ -320,6 +429,141 @@ TEST(ShortestPathKernel, EqualDelayTieGoesToTheLowerNodeFirstFound) {
                          {1, 3, 1.0, 100.0}});
   net::Router router(topo);
   EXPECT_EQ(router.from(0).path_to(3), (std::vector<net::NodeIdx>{0, 1, 3}));
+}
+
+using KernelTree = net::ShortestPathTree<std::uint32_t>;
+
+// Bitwise delays, parents and the settled count.
+void expect_same_tree(const KernelTree& got, const KernelTree& want) {
+  ASSERT_EQ(got.dist.size(), want.dist.size());
+  for (std::size_t v = 0; v < got.dist.size(); ++v) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.dist[v]),
+              std::bit_cast<std::uint64_t>(want.dist[v]))
+        << "source " << want.source << " node " << v;
+  }
+  EXPECT_EQ(got.parent, want.parent) << "source " << want.source;
+  EXPECT_EQ(got.settled, want.settled) << "source " << want.source;
+}
+
+// A graph with an alive mask: the kernel's edge visitor over live nodes,
+// and the cold tree a repair must reproduce (nothing reachable from a dead
+// source).
+struct MaskedGraph {
+  struct Edge {
+    std::uint32_t to, id;
+    double delay_ms;
+  };
+  std::vector<std::vector<Edge>> adj;
+  std::vector<bool> alive = std::vector<bool>(adj.size(), true);
+
+  auto edges() const {
+    return [this](std::uint32_t u, auto&& relax) {
+      for (const Edge& e : adj[u]) {
+        if (alive[e.to]) relax(e.to, e.id, e.delay_ms);
+      }
+    };
+  }
+  KernelTree cold(std::uint32_t src) const {
+    if (!alive[src]) return KernelTree(src, adj.size(), std::uint32_t(-1));
+    return net::shortest_path_tree(adj.size(), src, std::uint32_t(-1),
+                                   edges());
+  }
+  // Flips `v` and repairs every tree; returns the nodes the repairs settled.
+  std::size_t flip(std::uint32_t v, std::vector<KernelTree>& trees) {
+    alive[v] = !alive[v];
+    std::size_t settled = 0;
+    for (KernelTree& tree : trees) {
+      settled += alive[v] ? net::repair_after_insertion(tree, v, edges())
+                          : net::repair_after_deletion(
+                                tree, v, std::uint32_t(-1), edges());
+    }
+    return settled;
+  }
+};
+
+MaskedGraph masked(const net::Topology& topo) {
+  MaskedGraph g{std::vector<std::vector<MaskedGraph::Edge>>(topo.node_count())};
+  for (net::NodeIdx u = 0; u < topo.node_count(); ++u) {
+    for (const net::Adjacency& a : topo.neighbors(u)) {
+      g.adj[u].push_back({a.neighbor, a.link, topo.link(a.link).delay_ms});
+    }
+  }
+  return g;
+}
+
+TEST(ShortestPathKernel, RepairedTreesMatchColdTreesUnderRemovalAndInsertion) {
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    Rng gen(seed);
+    const net::Topology topos[] = {net::power_law(300, 2, gen),
+                                   net::waxman(300, 0.4, 0.2, gen),
+                                   net::random_graph(300, 300, gen)};
+    for (const net::Topology& topo : topos) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", "
+                                        << topo.link_count() << " links");
+      MaskedGraph g = masked(topo);
+      const std::size_t n = topo.node_count();
+      std::vector<KernelTree> trees;
+      for (std::size_t src : gen.sample_indices(n, 16)) {
+        trees.push_back(g.cold(std::uint32_t(src)));
+      }
+      std::vector<std::uint32_t> dead;
+      for (int step = 0; step < 80; ++step) {
+        // About as many insertions as removals; a removal on every eighth
+        // step aims at a tree's source.
+        std::uint32_t v = 0;
+        if (!dead.empty() && gen.next_bool(0.5)) {
+          const std::size_t i = gen.next_below(dead.size());
+          v = dead[i];
+          dead.erase(dead.begin() + long(i));
+        } else {
+          v = step % 8 == 0 ? trees[gen.next_below(trees.size())].source
+                            : std::uint32_t(gen.next_below(n));
+          while (!g.alive[v]) v = std::uint32_t(gen.next_below(n));
+          dead.push_back(v);
+        }
+        g.flip(v, trees);
+        for (const KernelTree& tree : trees) {
+          expect_same_tree(tree, g.cold(tree.source));
+        }
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// The tie graph of EqualDelayTieGoesToTheLowerNodeFirstFound: killing node 1
+// hands node 3 to edge 2-3, and 1's revival wins it back on an equal offer,
+// as a cold run keeps 0-1-3.
+TEST(ShortestPathKernel, RepairKeepsTheKernelTieBreak) {
+  MaskedGraph g{{{{2, 0, 1.0}, {1, 1, 1.0}},
+                 {{0, 1, 1.0}, {3, 3, 1.0}},
+                 {{0, 0, 1.0}, {3, 2, 1.0}},
+                 {{2, 2, 1.0}, {1, 3, 1.0}}}};
+  // From source 3 the same tie decides node 0: edge 0-1 or edge 0-2.
+  std::vector<KernelTree> trees{g.cold(0), g.cold(3)};
+  EXPECT_EQ(g.flip(1, trees), 2u);  // 1's one child in each tree
+  EXPECT_EQ(trees[0].parent[3], 2u);
+  EXPECT_DOUBLE_EQ(trees[0].dist[3], 2.0);
+  EXPECT_EQ(trees[1].parent[0], 0u);
+  EXPECT_EQ(g.flip(1, trees), 2u);  // 1 itself in each tree
+  EXPECT_EQ(trees[0].parent[3], 3u);
+  EXPECT_EQ(trees[0].parent[1], 1u);
+  EXPECT_EQ(trees[1].parent[0], 1u);
+  for (const KernelTree& tree : trees) {
+    expect_same_tree(tree, g.cold(tree.source));
+  }
+
+  // Why repair needs positive delays: with the zero-delay edge 2-1 (two
+  // peers on one IP node give an overlay such a link), the kernel settles
+  // 2 before the lower node 1 at the same delay, so node 3 keeps edge 2-3
+  // although 1 ties with it. A rule over (delay, node) would pick 1-3.
+  const MaskedGraph zero{{{{2, 0, 1.0}},
+                          {{2, 1, 0.0}, {3, 3, 1.0}},
+                          {{0, 0, 1.0}, {1, 1, 0.0}, {3, 2, 1.0}},
+                          {{2, 2, 1.0}, {1, 3, 1.0}}}};
+  const KernelTree tree = zero.cold(0);
+  EXPECT_EQ(tree.dist[1], tree.dist[2]);
+  EXPECT_EQ(tree.parent[3], 2u);
 }
 
 TEST(Overlay, TreeCacheLruNeverThrashesTheQueriedSource) {
@@ -590,6 +834,8 @@ TEST(Overlay, NodesSettledCountsBothLayers) {
   EXPECT_EQ(ov.link(0).ip_hops, 2u);
 
   // Overlay route trees: two live peers, then one, then a dead source.
+  // The kill drops peer 1's tree and repairs peer 0's, where 1 was a leaf:
+  // the repair settles nothing. The revive repair settles 1 again.
   EXPECT_EQ(ov.nodes_settled(), 0u);
   ov.route(0, 1);
   ov.route(0, 1);  // cached
@@ -598,10 +844,14 @@ TEST(Overlay, NodesSettledCountsBothLayers) {
   EXPECT_EQ(ov.nodes_settled(), 4u);
   ov.set_alive(1, false);
   EXPECT_FALSE(ov.route(0, 1)->valid);
-  EXPECT_EQ(ov.nodes_settled(), 5u);
+  EXPECT_EQ(ov.nodes_settled(), 4u);
   EXPECT_FALSE(ov.route(1, 0)->valid);
+  EXPECT_EQ(ov.nodes_settled(), 4u);
+  EXPECT_EQ(ov.route_trees_computed(), 3u);
+  ov.set_alive(1, true);
+  EXPECT_TRUE(ov.route(0, 1)->valid);
   EXPECT_EQ(ov.nodes_settled(), 5u);
-  EXPECT_EQ(ov.route_trees_computed(), 4u);
+  EXPECT_EQ(ov.route_trees_computed(), 3u);
 }
 
 TEST(OverlayDeath, ExactBuildRejectsDisconnectedTopology) {

@@ -448,5 +448,30 @@ TEST(LruCache, CountsEvictionsExactly) {
   EXPECT_EQ(cache.misses(), 12u);
 }
 
+TEST(LruCache, VisitKeepsRecencyAndEraseIsNeitherMissNorEviction) {
+  util::LruCache<int, int> cache(3);
+  for (int k : {1, 2, 3}) lru_get(cache, k);
+  std::vector<int> visited;
+  cache.for_each([&](int key, int& value) {
+    visited.push_back(key);
+    ++value;
+  });
+  EXPECT_EQ(visited, (std::vector<int>{3, 2, 1}));  // most recent first
+  // The visit refreshed nothing: 1 is still the coldest and goes first.
+  lru_get(cache, 4);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(lru_get(cache, 2), 21);  // a hit keeps the visited value
+  EXPECT_EQ(cache.misses(), 4u);
+
+  cache.erase(3);
+  cache.erase(7);  // absent: nothing happens
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(lru_get(cache, 3), 30);  // recomputed, into the erased slot
+  EXPECT_EQ(cache.misses(), 5u);
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
 }  // namespace
 }  // namespace spider

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Reduced-scale benchmark smoke test: run fig8 + fig9 in --quick mode,
 # export their metrics and compare key ratios against the checked-in
-# expectations in bench/baselines.json. fig8 is additionally re-run with
-# --jobs $SPIDER_SMOKE_JOBS (default 4) and its stdout + metrics JSON are
-# diffed byte-for-byte against the serial run (DESIGN.md §5f). The
+# expectations in bench/baselines.json. fig8 and fig9 are additionally
+# re-run with --jobs $SPIDER_SMOKE_JOBS (default 4) and their stdout +
+# metrics JSON are diffed byte-for-byte against the serial run (DESIGN.md
+# §5f); fig9's churn drives the overlay's route-tree repair hardest. The
 # bench_scale quick tier (1k/2k peers) runs next; its per-row probe
 # message counts, and the IP nodes the exact worlds' builds settled, are
 # compared exactly against the scale_rows baseline and its
@@ -58,39 +59,47 @@ for bench in bench_fig8_success_ratio bench_fig9_failure_recovery \
   fi
 done
 
-# The two fig8 passes run from their own working directories with the
-# same relative --metrics-out path, so their stdout (which echoes the
-# metrics path) can be diffed byte-for-byte.
+# The serial and --jobs passes of a figure bench run from their own
+# working directories with the same relative --metrics-out path, so their
+# stdout (which echoes the metrics path) can be diffed byte-for-byte; so is
+# every metrics file the bench writes. The serial files are then copied to
+# $out_dir for the ratio checks below.
 mkdir -p "$out_dir/serial" "$out_dir/jobs"
+serial_vs_jobs() {
+  local fig=$1 bench=$2
+  shift 2
+  echo "== $fig (quick) =="
+  local serial_start=$SECONDS
+  (cd "$out_dir/serial" && "$build_dir/bench/$bench" \
+    --quick --seed 42 --metrics-out "$fig.json" > "$fig.out")
+  local serial_secs=$((SECONDS - serial_start))
+  tail -n 3 "$out_dir/serial/$fig.out"
 
-echo "== fig8 (quick) =="
-serial_start=$SECONDS
-(cd "$out_dir/serial" && "$build_dir/bench/bench_fig8_success_ratio" \
-  --quick --seed 42 --metrics-out fig8.json > fig8.out)
-serial_secs=$((SECONDS - serial_start))
-tail -n 3 "$out_dir/serial/fig8.out"
-cp "$out_dir/serial/fig8.json" "$out_dir/fig8.json"
+  echo "== $fig (quick, --jobs $smoke_jobs) =="
+  local jobs_start=$SECONDS
+  (cd "$out_dir/jobs" && "$build_dir/bench/$bench" \
+    --quick --seed 42 --jobs "$smoke_jobs" \
+    --metrics-out "$fig.json" > "$fig.out")
+  local jobs_secs=$((SECONDS - jobs_start))
+  if ! diff -u "$out_dir/serial/$fig.out" "$out_dir/jobs/$fig.out"; then
+    echo "FAIL: $fig stdout differs between --jobs 1 and --jobs $smoke_jobs" >&2
+    exit 1
+  fi
+  local metrics
+  for metrics in "$@"; do
+    if ! cmp -s "$out_dir/serial/$metrics" "$out_dir/jobs/$metrics"; then
+      echo "FAIL: $fig metrics JSON $metrics differs between --jobs 1 and" \
+           "--jobs $smoke_jobs" >&2
+      exit 1
+    fi
+    cp "$out_dir/serial/$metrics" "$out_dir/$metrics"
+  done
+  echo "ok   stdout and metrics byte-identical to serial" \
+       "(serial ${serial_secs}s, --jobs $smoke_jobs ${jobs_secs}s)"
+}
 
-echo "== fig8 (quick, --jobs $smoke_jobs) =="
-jobs_start=$SECONDS
-(cd "$out_dir/jobs" && "$build_dir/bench/bench_fig8_success_ratio" \
-  --quick --seed 42 --jobs "$smoke_jobs" \
-  --metrics-out fig8.json > fig8.out)
-jobs_secs=$((SECONDS - jobs_start))
-if ! diff -u "$out_dir/serial/fig8.out" "$out_dir/jobs/fig8.out"; then
-  echo "FAIL: fig8 stdout differs between --jobs 1 and --jobs $smoke_jobs" >&2
-  exit 1
-fi
-if ! cmp -s "$out_dir/serial/fig8.json" "$out_dir/jobs/fig8.json"; then
-  echo "FAIL: fig8 metrics JSON differs between --jobs 1 and --jobs $smoke_jobs" >&2
-  exit 1
-fi
-echo "ok   stdout and metrics byte-identical to serial" \
-     "(serial ${serial_secs}s, --jobs $smoke_jobs ${jobs_secs}s)"
-
-echo "== fig9 (quick) =="
-"$build_dir/bench/bench_fig9_failure_recovery" --quick --seed 42 \
-  --metrics-out "$out_dir/fig9.json" | tail -n 3
+serial_vs_jobs fig8 bench_fig8_success_ratio fig8.json
+serial_vs_jobs fig9 bench_fig9_failure_recovery fig9.json fig9_lease.json
 
 # Scaling sweep, quick tier: only deterministic columns reach stdout, so
 # the serial and --jobs runs must again match byte-for-byte (modulo the
