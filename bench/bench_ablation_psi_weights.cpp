@@ -51,12 +51,8 @@ WeightRun run_weights(const workload::SimScenarioConfig& scenario_config,
           success.record(false);
           return;
         }
-        const core::SessionId id = s->alloc->new_session_id();
-        bool ok = true;
-        for (core::HoldId h : r.best_holds) {
-          ok = ok && s->alloc->confirm(h, id);
-        }
-        success.record(ok);
+        success.record(
+            s->alloc->confirm_all(r.best_holds, s->alloc->new_session_id()));
       });
     }
   }

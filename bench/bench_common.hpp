@@ -1,6 +1,7 @@
 // Shared helpers for the figure-reproduction benches: one argument parser
 // (--quick / --full / --seed N / --jobs N / --metrics-out, plus the
-// scaling benches' --json-out / --build-jobs / --xl), table printing.
+// scaling benches' --json-out / --build-jobs / --xl), table printing and
+// the JSON row writer of the BENCH_*.json artifacts.
 //
 // Figure benches are plain executables (not google-benchmark binaries):
 // each one runs a simulation campaign and prints the same rows/series the
@@ -9,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,29 +45,63 @@ struct BenchArgs {
   bool xl = false;
 };
 
+/// Ends the process with exit status 2 after one line on stderr naming
+/// the argument problem and the accepted flags.
+[[noreturn]] inline void usage_error(const char* argv0,
+                                     const std::string& problem) {
+  const char* slash = std::strrchr(argv0, '/');
+  const char* prog = slash != nullptr ? slash + 1 : argv0;
+  std::fprintf(stderr,
+               "%s: %s; usage: %s [--quick | --full] [--seed N] [--jobs N] "
+               "[--metrics-out PATH] [--json-out PATH] [--build-jobs N] "
+               "[--xl]\n",
+               prog, problem.c_str(), prog);
+  std::exit(2);
+}
+
+/// Parses the shared bench flags. An unknown flag, a flag missing its
+/// value, or a count that is not a non-negative decimal integer is a
+/// usage error (exit status 2), never a silent default.
 inline BenchArgs parse_args(int argc, char** argv,
                             std::string default_json_out = "") {
   BenchArgs args;
   args.json_out = std::move(default_json_out);
   for (int i = 1; i < argc; ++i) {
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    const std::string flag = argv[i];
+    auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(argv[0], flag + " needs a value");
+      return argv[++i];
+    };
+    auto number = [&]() -> std::uint64_t {
+      const char* text = value();
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long n = std::strtoull(text, &end, 10);
+      // strtoull skips blanks and negates "-1"; demand digits only.
+      if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
+        usage_error(argv[0], flag + " needs a non-negative integer, not '" +
+                                 text + "'");
+      }
+      return n;
+    };
+    if (flag == "--quick") {
       args.scale = 0;
-    } else if (std::strcmp(argv[i], "--full") == 0) {
+    } else if (flag == "--full") {
       args.scale = 2;
-    } else if (std::strcmp(argv[i], "--xl") == 0) {
+    } else if (flag == "--xl") {
       args.xl = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && has_value) {
-      args.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && has_value) {
-      args.jobs =
-          std::max<std::size_t>(1, std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--build-jobs") == 0 && has_value) {
-      args.build_jobs = std::size_t(std::max(1, std::atoi(argv[++i])));
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && has_value) {
-      args.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--json-out") == 0 && has_value) {
-      args.json_out = argv[++i];
+    } else if (flag == "--seed") {
+      args.seed = number();
+    } else if (flag == "--jobs") {
+      args.jobs = std::max<std::size_t>(1, number());
+    } else if (flag == "--build-jobs") {
+      args.build_jobs = std::max<std::size_t>(1, number());
+    } else if (flag == "--metrics-out") {
+      args.metrics_out = value();
+    } else if (flag == "--json-out") {
+      args.json_out = value();
+    } else {
+      usage_error(argv[0], "unknown flag " + flag);
     }
   }
   return args;
@@ -99,6 +135,40 @@ inline bool close_json(std::FILE* f, const char* bench,
   }
   std::printf("%s: wrote %s\n", bench, path.c_str());
   return true;
+}
+
+/// One column of a bench's JSON rows: its key and its value's JSON text.
+/// A bench lists its columns once, in key order, in a `RowColumn<Row>`
+/// table that write_rows() walks.
+template <class Row>
+struct RowColumn {
+  const char* key;
+  std::string (*value)(const Row&);
+};
+
+/// JSON text of an unsigned counter.
+inline std::string count(std::uint64_t v) { return std::to_string(v); }
+
+/// Writes every row of `cells`, cell by cell, as one JSON object per line
+/// (four-space indent, ",\n" between rows, no trailing newline): the body
+/// of a "rows" array.
+template <class Row, std::size_t N>
+void write_rows(std::FILE* f, const std::vector<std::vector<Row>>& cells,
+                const RowColumn<Row> (&columns)[N]) {
+  const char* row_sep = "";
+  for (const auto& cell : cells) {
+    for (const Row& row : cell) {
+      std::fprintf(f, "%s    {", row_sep);
+      const char* sep = "";
+      for (const RowColumn<Row>& column : columns) {
+        std::fprintf(f, "%s\"%s\": %s", sep, column.key,
+                     column.value(row).c_str());
+        sep = ", ";
+      }
+      std::fprintf(f, "}");
+      row_sep = ",\n";
+    }
+  }
 }
 
 /// Fixed-width table printer for figure output.

@@ -76,6 +76,40 @@ struct Row {
   double compose_wall_ms = 0.0;
 };
 
+std::string hex16(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)v);
+  return buf;
+}
+
+/// BENCH_communities.json's row columns, in key order.
+const RowColumn<Row> kRowColumns[] = {
+    {"peers", [](const Row& r) { return count(r.peers); }},
+    {"ip_nodes", [](const Row& r) { return count(r.ip_nodes); }},
+    {"communities", [](const Row& r) { return count(r.communities); }},
+    {"beta", [](const Row& r) { return std::to_string(r.beta); }},
+    {"requests", [](const Row& r) { return count(r.requests); }},
+    {"successes", [](const Row& r) { return count(r.successes); }},
+    {"probes_spawned", [](const Row& r) { return count(r.probes_spawned); }},
+    {"probe_messages", [](const Row& r) { return count(r.probe_messages); }},
+    {"discovery_messages",
+     [](const Row& r) { return count(r.discovery_messages); }},
+    {"coarse_probes", [](const Row& r) { return count(r.coarse_probes); }},
+    {"communities_pruned",
+     [](const Row& r) { return count(r.communities_pruned); }},
+    {"virtual_setup_ms_mean",
+     [](const Row& r) { return fmt(r.virtual_setup_ms_mean, 3); }},
+    {"map_fingerprint",
+     [](const Row& r) {
+       return std::string(1, '"').append(hex16(r.fingerprint)).append(1, '"');
+     }},
+    {"scenario_build_ms",
+     [](const Row& r) { return fmt(r.scenario_build_ms, 3); }},
+    {"communities_build_ms",
+     [](const Row& r) { return fmt(r.communities_build_ms, 3); }},
+    {"compose_wall_ms", [](const Row& r) { return fmt(r.compose_wall_ms, 3); }},
+};
+
 /// Replays the depth-4 linear-chain workload for one row. The RNG is
 /// reseeded from (seed, peers, beta) — community count excluded — so
 /// rows at the same beta consume the identical request stream.
@@ -204,9 +238,6 @@ int main(int argc, char** argv) {
                "map_fp"});
   for (const auto& cell : cells) {
     for (const Row& row : cell) {
-      char fp[32];
-      std::snprintf(fp, sizeof(fp), "%016llx",
-                    (unsigned long long)row.fingerprint);
       table.add_row({std::to_string(row.peers),
                      row.communities == 0 ? "flat"
                                           : std::to_string(row.communities),
@@ -217,7 +248,8 @@ int main(int argc, char** argv) {
                      std::to_string(row.discovery_messages),
                      std::to_string(row.coarse_probes),
                      std::to_string(row.communities_pruned),
-                     fmt(row.virtual_setup_ms_mean, 3), fp});
+                     fmt(row.virtual_setup_ms_mean, 3),
+                     hex16(row.fingerprint)});
     }
   }
   table.print();
@@ -237,31 +269,7 @@ int main(int argc, char** argv) {
                "{\n  \"bench\": \"communities\",\n  \"seed\": %llu,\n"
                "  \"jobs\": %zu,\n  \"build_jobs\": %zu,\n  \"rows\": [\n",
                (unsigned long long)args.seed, args.jobs, args.build_jobs);
-  bool first = true;
-  for (const auto& cell : cells) {
-    for (const Row& row : cell) {
-      std::fprintf(
-          jf,
-          "%s    {\"peers\": %zu, \"ip_nodes\": %zu, \"communities\": %zu, "
-          "\"beta\": %d, \"requests\": %zu, \"successes\": %llu, "
-          "\"probes_spawned\": %llu, \"probe_messages\": %llu, "
-          "\"discovery_messages\": %llu, \"coarse_probes\": %llu, "
-          "\"communities_pruned\": %llu, \"virtual_setup_ms_mean\": %.3f, "
-          "\"map_fingerprint\": \"%016llx\", \"scenario_build_ms\": %.3f, "
-          "\"communities_build_ms\": %.3f, \"compose_wall_ms\": %.3f}",
-          first ? "" : ",\n", row.peers, row.ip_nodes, row.communities,
-          row.beta, row.requests, (unsigned long long)row.successes,
-          (unsigned long long)row.probes_spawned,
-          (unsigned long long)row.probe_messages,
-          (unsigned long long)row.discovery_messages,
-          (unsigned long long)row.coarse_probes,
-          (unsigned long long)row.communities_pruned,
-          row.virtual_setup_ms_mean, (unsigned long long)row.fingerprint,
-          row.scenario_build_ms, row.communities_build_ms,
-          row.compose_wall_ms);
-      first = false;
-    }
-  }
+  write_rows(jf, cells, kRowColumns);
   std::fprintf(jf, "\n  ]\n}\n");
   if (!close_json(jf, "communities", args.json_out)) return 1;
 

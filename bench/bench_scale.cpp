@@ -89,15 +89,8 @@ struct Row {
   std::uint64_t vm_hwm_after = 0;
 };
 
-std::string count(std::uint64_t v) { return std::to_string(v); }
-
-/// One BENCH_scale.json row column: its key and its JSON value text.
-struct RowColumn {
-  const char* key;
-  std::string (*value)(const Row&);
-};
-
-const RowColumn kRowColumns[] = {
+/// BENCH_scale.json's row columns, in key order.
+const RowColumn<Row> kRowColumns[] = {
     {"peers", [](const Row& r) { return count(r.peers); }},
     {"ip_nodes", [](const Row& r) { return count(r.ip_nodes); }},
     {"depth", [](const Row& r) { return count(r.depth); }},
@@ -388,20 +381,7 @@ int main(int argc, char** argv) {
                  (unsigned long long)budget.rss_bytes, budget.wall_ms);
   }
   std::fprintf(jf, "  \"rows\": [\n");
-  bool first = true;
-  for (const auto& cell : cells) {
-    for (const Row& row : cell) {
-      std::fprintf(jf, "%s    {", first ? "" : ",\n");
-      const char* sep = "";
-      for (const RowColumn& column : kRowColumns) {
-        std::fprintf(jf, "%s\"%s\": %s", sep, column.key,
-                     column.value(row).c_str());
-        sep = ", ";
-      }
-      std::fprintf(jf, "}");
-      first = false;
-    }
-  }
+  write_rows(jf, cells, kRowColumns);
   std::fprintf(jf, "\n  ]\n}\n");
   if (!close_json(jf, "scale", args.json_out)) return 1;
 

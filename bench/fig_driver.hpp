@@ -176,18 +176,13 @@ inline CampaignResult run_campaign(const CampaignConfig& config, Algo algo,
         }
         if (r.success) {
           session = s->alloc->new_session_id();
-          bool ok = true;
-          for (core::HoldId h : r.best_holds) {
-            ok = ok && s->alloc->confirm(h, session);
-          }
-          if (ok) {
+          if (s->alloc->confirm_all(r.best_holds, session)) {
             success = true;
             if (measuring) {
               result.selected_psi.add(r.best.psi_cost);
               result.selected_delay.add(r.best.qos.delay_ms());
             }
           } else {
-            s->alloc->release_session(session);
             session = core::kInvalidSession;
             if (measuring) ++result.confirm_failures;
           }

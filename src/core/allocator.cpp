@@ -168,6 +168,18 @@ bool AllocationManager::confirm(HoldId hold_id, SessionId session) {
   return true;
 }
 
+bool AllocationManager::confirm_all(const std::vector<HoldId>& holds,
+                                    SessionId session) {
+  for (std::size_t i = 0; i < holds.size(); ++i) {
+    if (confirm(holds[i], session)) continue;
+    // confirm() already dropped the failed hold if it still existed.
+    release_session(session);
+    for (std::size_t j = i + 1; j < holds.size(); ++j) release_hold(holds[j]);
+    return false;
+  }
+  return true;
+}
+
 void AllocationManager::add_grant(Grant grant) {
   if (grant.peer != overlay::kInvalidPeer) {
     peer_state_[grant.peer].confirmed += grant.peer_amount;

@@ -9,7 +9,8 @@
 // and bandwidth (per overlay link):
 //
 //   soft_reserve_*()  -> HoldId      (expires at `expire_at` unless...)
-//   confirm(hold, session)           (...converted to a session grant)
+//   confirm(hold, session)           (...converted to a session grant;
+//   confirm_all(holds, session)       a whole graph's holds, or none)
 //   release_hold(hold)               (explicit early cancel)
 //   release_session(session)         (teardown / failure)
 //
@@ -138,6 +139,10 @@ class AllocationManager : public AvailabilityView {
   /// Converts a pending hold into a grant owned by `session`. Returns
   /// false if the hold already expired or was released.
   bool confirm(HoldId hold, SessionId session);
+  /// Confirms `holds` for `session`, in order, all or nothing: at the
+  /// first hold that cannot be confirmed it releases the session's grants
+  /// and every hold not yet confirmed, and returns false.
+  bool confirm_all(const std::vector<HoldId>& holds, SessionId session);
   /// Cancels a pending hold early (no-op if gone).
   void release_hold(HoldId hold);
 

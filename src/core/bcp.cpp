@@ -82,15 +82,11 @@ struct BcpEngine::Probe {
   /// processing order — so fault outcomes do not depend on the order
   /// probes are processed in.
   std::uint64_t fault_key = 0;
-  /// Chosen prefix of the branch: component, per-hop holds and leg timing
-  /// live in immutable shared PathSegments (probe_path.hpp), so copying a
-  /// Probe is O(1) regardless of depth. depth() == hops taken so far.
+  /// Chosen prefix of the branch: the components live in immutable shared
+  /// PathSegments (probe_path.hpp), so copying a Probe is O(1) regardless
+  /// of depth. depth() == hops taken so far. The holds backing them live
+  /// in the request's reservation tables, never in the probe.
   PathRef prefix;
-  /// Bandwidth hold on the final leg toward the destination — attached to
-  /// the probe, not the chain: it exists only once the probe leaves its
-  /// last component, which no child ever shares.
-  std::optional<std::pair<HoldCoverKey, HoldId>> dest_hold;
-  bool final_leg_done = false;
 };
 
 struct BcpEngine::DiscoveryEntry {
@@ -112,6 +108,10 @@ struct BcpEngine::ComposeState {
   sim::Time hold_expiry = 0.0;
   std::vector<HoldId> all_holds;
   OwnHoldsView own_view;
+  /// The request's reservation tables: each soft hold is recorded here
+  /// once, by (node, component) or by (service link, peer pair). Sibling
+  /// probes reuse the entries, and finalize() reads the winner's holds
+  /// from them.
   std::unordered_map<SharedPeerKey, HoldId, SharedPeerKeyHash>
       shared_peer_holds;
   std::unordered_map<SharedPathKey, HoldId, SharedPathKeyHash>
@@ -450,6 +450,40 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
     rec.value = double(hold);
     trace_->record(std::move(rec));
   };
+  // Step 2.1's bandwidth hold on one service link, for every leg: reuse
+  // the request's table entry, or reserve `path` and record the new hold
+  // in the table; check-only mode (ablation A4) only checks availability,
+  // so concurrent requests may later race to admission. False when the
+  // path cannot carry the stream. A new hold is left in `*fresh` for the
+  // caller to keep (keep_link_hold) once the leg's own checks pass.
+  auto take_link_hold = [&](const SharedPathKey& key,
+                            const overlay::OverlayPath& path, double t,
+                            FnNode node, HoldId* fresh) {
+    if (request.bandwidth_kbps <= 0.0 || path.links.empty()) return true;
+    if (!config_.soft_allocation) {
+      return alloc_->path_available_kbps(path) >= request.bandwidth_kbps;
+    }
+    if (auto it = state.shared_path_holds.find(key);
+        it != state.shared_path_holds.end()) {
+      ++stats.holds_reused;
+      trace_hold(obs::TraceEvent::kHoldReused, t, node, it->second);
+      return true;
+    }
+    const std::optional<HoldId> hold = alloc_->soft_reserve_path(
+        path, request.bandwidth_kbps, state.hold_expiry);
+    if (!hold.has_value()) return false;
+    ++stats.holds_acquired;
+    trace_hold(obs::TraceEvent::kHoldAcquired, t, node, *hold);
+    state.shared_path_holds.emplace(key, *hold);
+    *fresh = *hold;
+    return true;
+  };
+  auto keep_link_hold = [&](HoldId hold, const overlay::OverlayPath& path) {
+    state.all_holds.push_back(hold);
+    for (auto link : path.links) {
+      state.own_view.link_extra[link] += request.bandwidth_kbps;
+    }
+  };
 
   if (probe.prefix.depth() == branch.size()) {
     // Final leg: stream exits the last component toward the destination.
@@ -465,47 +499,15 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
         return;
       }
       leg_delay = path->delay_ms;
-      if (request.bandwidth_kbps > 0.0 && !path->links.empty()) {
-        if (!config_.soft_allocation) {
-          // Check-only mode (ablation A4): no reservation is made.
-          if (alloc_->path_available_kbps(*path) <
-              request.bandwidth_kbps) {
-            ++stats.probes_dropped_resources;
-            trace_drop(probe, "dest_leg_bandwidth");
-            return;
-          }
-        } else {
-          const SharedPathKey skey{last, ServiceLinkHop::kEndpoint, probe.at,
-                                   request.dest};
-          auto existing = state.shared_path_holds.find(skey);
-          if (existing != state.shared_path_holds.end()) {
-            ++stats.holds_reused;
-            trace_hold(obs::TraceEvent::kHoldReused, probe.arrival, last,
-                       existing->second);
-            probe.dest_hold.emplace(
-                HoldCoverKey::edge(last, ServiceLinkHop::kEndpoint),
-                existing->second);
-          } else {
-            auto hold = alloc_->soft_reserve_path(
-                *path, request.bandwidth_kbps, state.hold_expiry);
-            if (!hold.has_value()) {
-              ++stats.probes_dropped_resources;
-              trace_drop(probe, "dest_leg_bandwidth");
-              return;
-            }
-            ++stats.holds_acquired;
-            trace_hold(obs::TraceEvent::kHoldAcquired, probe.arrival, last,
-                       *hold);
-            state.all_holds.push_back(*hold);
-            state.shared_path_holds.emplace(skey, *hold);
-            for (auto link : path->links) {
-              state.own_view.link_extra[link] += request.bandwidth_kbps;
-            }
-            probe.dest_hold.emplace(
-                HoldCoverKey::edge(last, ServiceLinkHop::kEndpoint), *hold);
-          }
-        }
+      HoldId fresh = kInvalidHold;
+      if (!take_link_hold(SharedPathKey{last, ServiceLinkHop::kEndpoint,
+                                        probe.at, request.dest},
+                          *path, probe.arrival, last, &fresh)) {
+        ++stats.probes_dropped_resources;
+        trace_drop(probe, "dest_leg_bandwidth");
+        return;
       }
+      if (fresh != kInvalidHold) keep_link_hold(fresh, *path);
       // The probe message itself must survive the trip (holds a lost
       // probe left behind are reclaimed by finalize's cleanup, exactly
       // like the paper's timeout-based cancellation).
@@ -532,7 +534,6 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
       trace_drop(probe, "qos_violation");
       return;
     }
-    probe.final_leg_done = true;
     ++stats.probes_arrived;
     if (trace_ != nullptr) {
       obs::TraceRecord rec;
@@ -702,69 +703,38 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
     const FnNode prev_node = child.prefix.depth() == 0
                                  ? ServiceLinkHop::kEndpoint
                                  : branch[child.prefix.depth() - 1];
-    // Holds attached at this hop, recorded onto the child's fresh
-    // PathSegment once it exists (bandwidth first, then resources — the
-    // order finalize()'s hold union must observe).
-    std::optional<std::pair<HoldCoverKey, HoldId>> leg_bw_hold;
-    std::optional<std::pair<HoldCoverKey, HoldId>> leg_res_hold;
+    // Bandwidth on the incoming service link, then the component's
+    // resources on the candidate host (both shared per request).
+    HoldId fresh_bw = kInvalidHold;
+    if (leg_path.has_value() &&
+        !take_link_hold(
+            SharedPathKey{prev_node, next_node, probe.at, cand.host},
+            *leg_path, child.arrival, next_node, &fresh_bw)) {
+      ++stats.candidates_skipped_resources;
+      trace_skip(next_node, cand.host, "link_bandwidth");
+      continue;
+    }
     if (!config_.soft_allocation) {
-      // Check-only mode (ablation A4): availability verified, nothing
-      // reserved — concurrent requests may later race to admission.
-      if (leg_path.has_value() && request.bandwidth_kbps > 0.0 &&
-          !leg_path->links.empty() &&
-          alloc_->path_available_kbps(*leg_path) < request.bandwidth_kbps) {
-        ++stats.candidates_skipped_resources;
-        trace_skip(next_node, cand.host, "link_bandwidth");
-        continue;
-      }
+      // Check-only mode (ablation A4): verify the host, reserve nothing.
       if (!cand.required.fits_within(alloc_->peer_available(cand.host))) {
         ++stats.candidates_skipped_resources;
         trace_skip(next_node, cand.host, "peer_resources");
         continue;
       }
     } else {
-      // Bandwidth on the incoming service link (shared per request).
-      std::optional<HoldId> bw_hold;
-      bool bw_hold_fresh = false;
-      if (leg_path.has_value() && request.bandwidth_kbps > 0.0 &&
-          !leg_path->links.empty()) {
-        const SharedPathKey skey{prev_node, next_node, probe.at, cand.host};
-        if (auto it = state.shared_path_holds.find(skey);
-            it != state.shared_path_holds.end()) {
-          bw_hold = it->second;
-          ++stats.holds_reused;
-          trace_hold(obs::TraceEvent::kHoldReused, child.arrival, next_node,
-                     *bw_hold);
-        } else {
-          bw_hold = alloc_->soft_reserve_path(
-              *leg_path, request.bandwidth_kbps, state.hold_expiry);
-          if (!bw_hold.has_value()) {
-            ++stats.candidates_skipped_resources;
-            trace_skip(next_node, cand.host, "link_bandwidth");
-            continue;
-          }
-          bw_hold_fresh = true;
-          ++stats.holds_acquired;
-          trace_hold(obs::TraceEvent::kHoldAcquired, child.arrival, next_node,
-                     *bw_hold);
-          state.shared_path_holds.emplace(skey, *bw_hold);
-        }
-      }
-      // Component resources on the candidate host (shared per request).
-      std::optional<HoldId> res_hold;
       const SharedPeerKey pkey{next_node, cand.id};
       if (auto it = state.shared_peer_holds.find(pkey);
           it != state.shared_peer_holds.end()) {
-        res_hold = it->second;
         ++stats.holds_reused;
         trace_hold(obs::TraceEvent::kHoldReused, child.arrival, next_node,
-                   *res_hold);
+                   it->second);
       } else {
-        res_hold = alloc_->soft_reserve_peer(cand.host, cand.required,
-                                             state.hold_expiry);
+        const std::optional<HoldId> res_hold = alloc_->soft_reserve_peer(
+            cand.host, cand.required, state.hold_expiry);
         if (!res_hold.has_value()) {
-          if (bw_hold_fresh) {
-            alloc_->release_hold(*bw_hold);
+          // Nothing carries a fresh link hold yet: undo it outright.
+          if (fresh_bw != kInvalidHold) {
+            alloc_->release_hold(fresh_bw);
             state.shared_path_holds.erase(
                 SharedPathKey{prev_node, next_node, probe.at, cand.host});
           }
@@ -779,35 +749,15 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
         state.all_holds.push_back(*res_hold);
         state.own_view.peer_extra[cand.host] += cand.required;
       }
-      if (bw_hold.has_value()) {
-        if (bw_hold_fresh) {
-          state.all_holds.push_back(*bw_hold);
-          for (auto link : leg_path->links) {
-            state.own_view.link_extra[link] += request.bandwidth_kbps;
-          }
-        }
-        leg_bw_hold.emplace(HoldCoverKey::edge(prev_node, next_node),
-                            *bw_hold);
-      }
-      leg_res_hold.emplace(HoldCoverKey::node(next_node), *res_hold);
+      if (fresh_bw != kInvalidHold) keep_link_hold(fresh_bw, *leg_path);
     }
 
     // Every skip is behind us: extend the prefix by one segment. The
-    // segment is written (holds attached) before the child is handed to
-    // the queue; from then on it is immutable and shared.
-    child.prefix =
-        config_.debug_clone_prefixes
-            ? state.arena.clone_append(probe.prefix.get(), cand, leg_delay,
-                                       child.arrival)
-            : state.arena.append(probe.prefix.get(), cand, leg_delay,
-                                 child.arrival);
-    PathSegment* leaf = child.prefix.leaf();
-    if (leg_bw_hold.has_value()) {
-      leaf->add_hold(leg_bw_hold->first, leg_bw_hold->second);
-    }
-    if (leg_res_hold.has_value()) {
-      leaf->add_hold(leg_res_hold->first, leg_res_hold->second);
-    }
+    // segment is written before the child is handed to the queue; from
+    // then on it is immutable and shared.
+    child.prefix = config_.debug_clone_prefixes
+                       ? state.arena.clone_append(probe.prefix.get(), cand)
+                       : state.arena.append(probe.prefix.get(), cand);
     child.at = cand.host;
     child.level = cand.output_level;
     ++stats.probes_spawned;
@@ -868,7 +818,6 @@ void BcpEngine::finalize(ComposeState& state) {
   struct Candidate {
     std::size_t pattern_idx;
     std::vector<ComponentMetadata> mapping;  // per pattern node
-    std::vector<const Probe*> probes;
   };
   std::vector<Candidate> candidates;
   std::unordered_set<std::string> candidate_sigs;
@@ -893,7 +842,6 @@ void BcpEngine::finalize(ComposeState& state) {
     const std::size_t node_count = state.patterns[pi].node_count();
     std::vector<ComponentMetadata> mapping(node_count);
     std::vector<bool> bound(node_count, false);
-    std::vector<const Probe*> used;
 
     std::function<void(std::size_t)> join = [&](std::size_t bi) {
       if (candidates.size() >= config_.max_candidates) return;
@@ -901,7 +849,6 @@ void BcpEngine::finalize(ComposeState& state) {
         Candidate c;
         c.pattern_idx = pi;
         c.mapping = mapping;
-        c.probes = used;
         // Dedupe identical (pattern, mapping) combinations.
         std::string sig = std::to_string(pi) + ":";
         for (const auto& m : c.mapping) sig += std::to_string(m.id) + ",";
@@ -930,9 +877,7 @@ void BcpEngine::finalize(ComposeState& state) {
             newly_bound.push_back(branch[k]);
           }
         }
-        used.push_back(probe);
         join(bi + 1);
-        used.pop_back();
         for (FnNode n : newly_bound) bound[n] = false;
       }
     };
@@ -945,17 +890,13 @@ void BcpEngine::finalize(ComposeState& state) {
       rec.event = obs::TraceEvent::kCandidateMerged;
       rec.time_ms = last_arrival;
       rec.pattern = std::int64_t(cand.pattern_idx);
-      rec.value = double(cand.probes.size());
+      rec.value = double(state.branches[cand.pattern_idx].size());
       trace_->record(std::move(rec));
     }
   }
 
   // Evaluate, filter by QoS, rank by the selection objective.
-  struct Scored {
-    ServiceGraph graph;
-    std::vector<HoldId> holds;
-  };
-  std::vector<Scored> qualified;
+  std::vector<ServiceGraph> qualified;
   for (Candidate& cand : candidates) {
     ServiceGraph graph;
     graph.pattern = state.patterns[cand.pattern_idx];
@@ -966,24 +907,6 @@ void BcpEngine::finalize(ComposeState& state) {
     if (!evaluator_->resolve(graph)) continue;
     evaluator_->evaluate(graph, request, &state.own_view);
     if (!evaluator_->qos_qualified(graph, request)) continue;
-
-    // Union of constituent probes' holds, deduped by coverage key. Walk
-    // each probe's chain root-first (bandwidth before resources within a
-    // hop), destination-leg hold last — the exact insertion order the
-    // deep-copy implementation's flat hold vectors produced.
-    std::unordered_map<HoldCoverKey, HoldId, HoldCoverKeyHash> by_key;
-    for (const Probe* probe : cand.probes) {
-      const FlatPrefix& path = flat.at(probe);
-      for (std::size_t k = 0; k < path.size(); ++k) {
-        const PathSegment& seg = path.segment(k);
-        for (std::uint8_t h = 0; h < seg.hold_count; ++h) {
-          by_key.emplace(seg.holds[h].first, seg.holds[h].second);
-        }
-      }
-      if (probe->dest_hold.has_value()) {
-        by_key.emplace(probe->dest_hold->first, probe->dest_hold->second);
-      }
-    }
     if (trace_ != nullptr) {
       obs::TraceRecord rec;
       rec.event = obs::TraceEvent::kGraphQualified;
@@ -991,11 +914,7 @@ void BcpEngine::finalize(ComposeState& state) {
       rec.value = graph.psi_cost;
       trace_->record(std::move(rec));
     }
-    Scored s;
-    s.graph = std::move(graph);
-    s.holds.reserve(by_key.size());
-    for (const auto& [key, hold] : by_key) s.holds.push_back(hold);
-    qualified.push_back(std::move(s));
+    qualified.push_back(std::move(graph));
   }
   stats.qualified_found = qualified.size();
 
@@ -1004,8 +923,8 @@ void BcpEngine::finalize(ComposeState& state) {
                                                             : g.qos.delay_ms();
   };
   std::stable_sort(qualified.begin(), qualified.end(),
-                   [&](const Scored& a, const Scored& b) {
-                     return selection_key(a.graph) < selection_key(b.graph);
+                   [&](const ServiceGraph& a, const ServiceGraph& b) {
+                     return selection_key(a) < selection_key(b);
                    });
 
   stats.probing_time_ms = last_arrival;
@@ -1020,10 +939,10 @@ void BcpEngine::finalize(ComposeState& state) {
     // the peers, the paper's timeout-based cancellation.
     bool ack_ok = true;
     double ack_extra_ms = 0.0;
-    for (std::size_t h = 0; h < qualified.front().graph.hops.size(); ++h) {
+    for (std::size_t h = 0; h < qualified.front().hops.size(); ++h) {
       ++stats.probe_messages;
       const HopDelivery d = deliver_hop(
-          state, qualified.front().graph.hops[h].path,
+          state, qualified.front().hops[h].path,
           util::hash_values(state.noise_salt, std::uint64_t{0xac4eu}, h),
           nullptr);
       ack_extra_ms += d.added_latency_ms;
@@ -1038,16 +957,34 @@ void BcpEngine::finalize(ComposeState& state) {
         obs::TraceRecord rec;
         rec.event = obs::TraceEvent::kGraphSelected;
         rec.time_ms = last_arrival;
-        rec.value = selection_key(qualified.front().graph);
+        rec.value = selection_key(qualified.front());
         trace_->record(std::move(rec));
       }
-      result.best = std::move(qualified.front().graph);
-      result.best_holds = std::move(qualified.front().holds);
+      result.best = std::move(qualified.front());
+      // The winner's holds come from the request's reservation tables:
+      // each node's component hold, then each hop's bandwidth hold (a hop
+      // between co-located components or over an empty path has none,
+      // and check-only mode records nothing).
+      const ServiceGraph& best = result.best;
+      for (FnNode n = 0; n < best.mapping.size(); ++n) {
+        auto it = state.shared_peer_holds.find(
+            SharedPeerKey{n, best.mapping[n].id});
+        if (it != state.shared_peer_holds.end()) {
+          result.best_holds.push_back(it->second);
+        }
+      }
+      for (const ServiceLinkHop& hop : best.hops) {
+        auto it = state.shared_path_holds.find(
+            SharedPathKey{hop.from, hop.to, hop.from_peer, hop.to_peer});
+        if (it != state.shared_path_holds.end()) {
+          result.best_holds.push_back(it->second);
+        }
+      }
       for (std::size_t i = 1;
            i < qualified.size() &&
            result.backups.size() < kMaxBackupsReturned;
            ++i) {
-        result.backups.push_back(std::move(qualified[i].graph));
+        result.backups.push_back(std::move(qualified[i]));
       }
       stats.setup_time_ms = last_arrival + evaluator_->ack_time_ms(result.best) +
                             kPerHopProcessingMs + ack_extra_ms;

@@ -4,6 +4,8 @@
 // reservation — the same component on the same host, or the same overlay
 // path between the same pair of service-graph nodes. The engine dedupes
 // those through per-request maps so one request never double-reserves.
+// The maps are also the one record of the request's holds: the selected
+// graph's holds are read back from them by its nodes and hops.
 //
 // The seed implementation packed each tuple into a single uint64 with
 // overlapping shifts (e.g. `(from << 48) ^ (to << 32) ^ (a << 16) ^ b`),
@@ -48,28 +50,6 @@ struct SharedPeerKey {
   }
 };
 
-/// What a hold carried by a probe covers, used at the destination to
-/// union the constituent probes' holds without double-counting: either a
-/// node's component resources or a service edge's bandwidth.
-struct HoldCoverKey {
-  enum class Kind : unsigned char { kNode, kEdge };
-
-  Kind kind = Kind::kNode;
-  service::FnNode from = 0;  ///< edge source (kEdge only)
-  service::FnNode to = 0;    ///< node for kNode; edge target for kEdge
-
-  static HoldCoverKey node(service::FnNode n) {
-    return HoldCoverKey{Kind::kNode, 0, n};
-  }
-  static HoldCoverKey edge(service::FnNode from, service::FnNode to) {
-    return HoldCoverKey{Kind::kEdge, from, to};
-  }
-
-  bool operator==(const HoldCoverKey& o) const {
-    return kind == o.kind && from == o.from && to == o.to;
-  }
-};
-
 struct SharedPathKeyHash {
   std::size_t operator()(const SharedPathKey& k) const {
     return util::hash_values(k.from, k.to, k.src, k.dst);
@@ -79,12 +59,6 @@ struct SharedPathKeyHash {
 struct SharedPeerKeyHash {
   std::size_t operator()(const SharedPeerKey& k) const {
     return util::hash_values(k.node, k.component);
-  }
-};
-
-struct HoldCoverKeyHash {
-  std::size_t operator()(const HoldCoverKey& k) const {
-    return util::hash_values(static_cast<unsigned char>(k.kind), k.from, k.to);
   }
 };
 

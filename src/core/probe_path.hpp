@@ -2,9 +2,11 @@
 //
 // A probe's mutable per-hop scalars (arrival time, accumulated QoS,
 // remaining budget) are O(1) to copy, but its *prefix* — the components
-// chosen so far, the soft holds backing them and the per-leg timing — is
-// O(depth), and the seed implementation deep-copied it into every child
-// probe at every hop: one request cost O(depth² × fanout) in copies.
+// chosen so far — is O(depth), and the seed implementation deep-copied it
+// into every child probe at every hop: one request cost O(depth² ×
+// fanout) in copies. The soft holds backing those components are not
+// part of the prefix: the engine records each one once, in the request's
+// reservation tables (hold_keys.hpp).
 //
 // Here the prefix is an immutable cons-list of `PathSegment`s: spawning a
 // child appends exactly one node and shares the parent's entire tail.
@@ -31,13 +33,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <utility>
 #include <vector>
 
-#include "core/allocator.hpp"
-#include "core/hold_keys.hpp"
 #include "service/component.hpp"
-#include "util/require.hpp"
 
 namespace spider::core {
 
@@ -45,21 +43,9 @@ namespace spider::core {
 /// links toward the request source (nullptr for the first hop).
 struct PathSegment {
   service::ComponentMetadata component;  ///< replica chosen at this hop
-  /// Soft holds attached at this hop: the incoming service link's
-  /// bandwidth hold (if any) then the component-resource hold, in the
-  /// order the destination-side union must observe them.
-  std::pair<HoldCoverKey, HoldId> holds[2];
-  std::uint8_t hold_count = 0;
-  double leg_delay_ms = 0.0;  ///< measured network delay of the incoming leg
-  double arrival_ms = 0.0;    ///< probe arrival time at this hop
   PathSegment* parent = nullptr;
   std::uint32_t depth = 0;  ///< chain length including this segment
   std::uint32_t refs = 0;   ///< managed by PathArena
-
-  void add_hold(const HoldCoverKey& key, HoldId hold) {
-    SPIDER_DCHECK(hold_count < 2);
-    holds[hold_count++] = {key, hold};
-  }
 };
 
 class PathRef;
@@ -79,8 +65,7 @@ class PathArena {
   /// Appends one segment under `parent` (which may be null). The returned
   /// ref owns the new leaf; the leaf owns a reference on `parent`.
   PathRef append(const PathSegment* parent,
-                 const service::ComponentMetadata& component,
-                 double leg_delay_ms, double arrival_ms);
+                 const service::ComponentMetadata& component);
 
   /// Deep-copies the whole chain ending at `leaf` and appends one fresh
   /// segment, sharing nothing. Byte-for-byte the same protocol state as
@@ -88,8 +73,7 @@ class PathArena {
   /// engine's deep-copy spawn, kept as a test oracle for the
   /// prefix-sharing equivalence suite (BcpConfig::debug_clone_prefixes).
   PathRef clone_append(const PathSegment* leaf,
-                       const service::ComponentMetadata& component,
-                       double leg_delay_ms, double arrival_ms);
+                       const service::ComponentMetadata& component);
 
   void retain(PathSegment* seg) {
     if (seg != nullptr) ++seg->refs;
@@ -136,13 +120,9 @@ class PathArena {
   }
 
   PathSegment* fill(PathSegment* parent,
-                    const service::ComponentMetadata& component,
-                    double leg_delay_ms, double arrival_ms) {
+                    const service::ComponentMetadata& component) {
     PathSegment* seg = take();
     seg->component = component;
-    seg->hold_count = 0;
-    seg->leg_delay_ms = leg_delay_ms;
-    seg->arrival_ms = arrival_ms;
     seg->parent = parent;
     seg->depth = parent == nullptr ? 1 : parent->depth + 1;
     seg->refs = 1;
@@ -199,7 +179,6 @@ class PathRef {
   }
 
   const PathSegment* get() const { return seg_; }
-  PathSegment* leaf() { return seg_; }
   std::uint32_t depth() const { return seg_ == nullptr ? 0 : seg_->depth; }
   explicit operator bool() const { return seg_ != nullptr; }
 
@@ -213,15 +192,12 @@ class PathRef {
 };
 
 inline PathRef PathArena::append(const PathSegment* parent,
-                                 const service::ComponentMetadata& component,
-                                 double leg_delay_ms, double arrival_ms) {
-  return PathRef(this, fill(const_cast<PathSegment*>(parent), component,
-                            leg_delay_ms, arrival_ms));
+                                 const service::ComponentMetadata& component) {
+  return PathRef(this, fill(const_cast<PathSegment*>(parent), component));
 }
 
 inline PathRef PathArena::clone_append(
-    const PathSegment* leaf, const service::ComponentMetadata& component,
-    double leg_delay_ms, double arrival_ms) {
+    const PathSegment* leaf, const service::ComponentMetadata& component) {
   // Rebuild root-first so parent links point at the fresh copies.
   std::vector<const PathSegment*> chain(leaf == nullptr ? 0 : leaf->depth);
   for (const PathSegment* s = leaf; s != nullptr; s = s->parent) {
@@ -229,23 +205,18 @@ inline PathRef PathArena::clone_append(
   }
   PathSegment* parent = nullptr;
   for (const PathSegment* src : chain) {
-    PathSegment* copy =
-        fill(parent, src->component, src->leg_delay_ms, src->arrival_ms);
-    copy->hold_count = src->hold_count;
-    for (std::uint8_t h = 0; h < src->hold_count; ++h) {
-      copy->holds[h] = src->holds[h];
-    }
+    PathSegment* copy = fill(parent, src->component);
     if (parent != nullptr) release(parent);  // child's link now owns it
     parent = copy;
   }
-  PathSegment* fresh = fill(parent, component, leg_delay_ms, arrival_ms);
+  PathSegment* fresh = fill(parent, component);
   if (parent != nullptr) release(parent);
   return PathRef(this, fresh);
 }
 
 /// Root-first positional view of one probe's prefix chain — the flat-view
 /// helper `finalize()` reads prefixes through, so the destination-side
-/// merge observes exactly the per-hop vectors the seed engine carried.
+/// merge observes exactly the per-hop components the seed engine carried.
 class FlatPrefix {
  public:
   FlatPrefix() = default;
@@ -257,7 +228,6 @@ class FlatPrefix {
   }
 
   std::size_t size() const { return hops_.size(); }
-  const PathSegment& segment(std::size_t k) const { return *hops_[k]; }
   const service::ComponentMetadata& component(std::size_t k) const {
     return hops_[k]->component;
   }

@@ -265,19 +265,9 @@ SessionId SessionManager::establish(const service::CompositeRequest& request,
   SPIDER_REQUIRE(composed.success);
   const SessionId id = alloc_->new_session_id();
 
-  // Confirm every hold backing the best graph; if any expired, roll back.
-  bool all_confirmed = true;
-  for (HoldId hold : composed.best_holds) {
-    if (!alloc_->confirm(hold, id)) {
-      all_confirmed = false;
-      break;
-    }
-  }
-  if (!all_confirmed) {
-    alloc_->release_session(id);
-    for (HoldId hold : composed.best_holds) alloc_->release_hold(hold);
-    return kInvalidSession;
-  }
+  // Confirm every hold backing the best graph; if any expired, nothing
+  // stays granted or held.
+  if (!alloc_->confirm_all(composed.best_holds, id)) return kInvalidSession;
   return activate(id, request, std::move(composed.best),
                   std::move(composed.backups));
 }
@@ -445,14 +435,7 @@ RecoveryOutcome SessionManager::recover(Session& session, Rng& rng) {
   if (re.success) {
     // Convert the re-composition's holds into grants.
     alloc_->release_session(session.id);
-    bool ok = true;
-    for (HoldId hold : re.best_holds) {
-      if (!alloc_->confirm(hold, session.id)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
+    if (alloc_->confirm_all(re.best_holds, session.id)) {
       session.active = std::move(re.best);
       ++session.epoch;
       session.state = SessionState::kActive;
@@ -464,7 +447,6 @@ RecoveryOutcome SessionManager::recover(Session& session, Rng& rng) {
       count(&SessionStats::reactive_recoveries);
       return RecoveryOutcome::kReactiveRecovered;
     }
-    for (HoldId hold : re.best_holds) alloc_->release_hold(hold);
   }
   session.state = SessionState::kTornDown;  // caller tears the session down
   count(&SessionStats::losses);

@@ -123,6 +123,37 @@ TEST_F(AllocatorTest, PathConfirmAndRelease) {
   EXPECT_NEAR(alloc_->path_available_kbps(path), before, 1e-6);
 }
 
+TEST_F(AllocatorTest, ConfirmAllIsAllOrNothing) {
+  // The second hold is gone before confirm: the first must not stay
+  // granted, and the third must not stay held.
+  const overlay::OverlayPath path = *deployment_->overlay().route(1, 8);
+  ASSERT_TRUE(path.valid);
+  const double path_before = alloc_->path_available_kbps(path);
+  auto first = alloc_->soft_reserve_peer(2, Resources::cpu_mem(4, 4), 100.0);
+  auto second = alloc_->soft_reserve_path(path, 100.0, 100.0);
+  auto third = alloc_->soft_reserve_peer(3, Resources::cpu_mem(4, 4), 100.0);
+  ASSERT_TRUE(first && second && third);
+  alloc_->release_hold(*second);
+
+  const SessionId session = alloc_->new_session_id();
+  EXPECT_FALSE(alloc_->confirm_all({*first, *second, *third}, session));
+  EXPECT_EQ(alloc_->active_grants(), 0u);
+  EXPECT_EQ(alloc_->active_holds(), 0u);
+  EXPECT_EQ(alloc_->session_grant_totals(session).grant_count, 0u);
+  EXPECT_DOUBLE_EQ(alloc_->peer_available(2).cpu(), 10.0);
+  EXPECT_DOUBLE_EQ(alloc_->peer_available(3).cpu(), 10.0);
+  EXPECT_NEAR(alloc_->path_available_kbps(path), path_before, 1e-6);
+
+  // With every hold live, the same call grants them all.
+  auto a = alloc_->soft_reserve_peer(2, Resources::cpu_mem(4, 4), 100.0);
+  auto b = alloc_->soft_reserve_path(path, 100.0, 100.0);
+  ASSERT_TRUE(a && b);
+  EXPECT_TRUE(alloc_->confirm_all({*a, *b}, session));
+  EXPECT_EQ(alloc_->session_grant_totals(session).grant_count, 2u);
+  EXPECT_EQ(alloc_->active_holds(), 0u);
+  alloc_->release_session(session);
+}
+
 /// Demand of a graph whose two components both sit on peer 0.
 service::GraphDemand two_on_peer_zero(double cpu_each) {
   service::ServiceGraph graph;

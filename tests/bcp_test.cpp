@@ -58,6 +58,52 @@ TEST_F(BcpTest, BestHoldsAreConfirmable) {
   scenario_->alloc->release_session(session);
 }
 
+TEST_F(BcpTest, WinnerHoldsAreItsNodesAndServiceLinks) {
+  // A linear chain and a diamond DAG (0 -> {1, 2} -> 3) under soft
+  // allocation: the winner holds one component per node and one stream
+  // per hop whose path has links, which together grant exactly its
+  // demand.
+  const service::CompositeRequest linear =
+      spider::testing::easy_request(*scenario_);
+  service::CompositeRequest diamond = linear;
+  diamond.graph = service::FunctionGraph();
+  for (service::FnNode n : {0, 1, 2, 0}) {
+    diamond.graph.add_function(linear.graph.function(n));
+  }
+  diamond.graph.add_dependency(0, 1);
+  diamond.graph.add_dependency(0, 2);
+  diamond.graph.add_dependency(1, 3);
+  diamond.graph.add_dependency(2, 3);
+  ASSERT_TRUE(engine_->config().soft_allocation);
+  ASSERT_GT(linear.bandwidth_kbps, 0.0);
+
+  for (const service::CompositeRequest& req : {linear, diamond}) {
+    ComposeResult r = engine_->compose(req, rng_);
+    ASSERT_TRUE(r.success);
+    std::size_t hops_with_links = 0;
+    for (const service::ServiceLinkHop& hop : r.best.hops) {
+      if (!hop.path.links.empty()) ++hops_with_links;
+    }
+    ASSERT_GT(hops_with_links, 0u);
+    EXPECT_EQ(r.best_holds.size(), r.best.mapping.size() + hops_with_links);
+
+    const SessionId session = scenario_->alloc->new_session_id();
+    ASSERT_TRUE(scenario_->alloc->confirm_all(r.best_holds, session));
+    const auto granted = scenario_->alloc->session_grant_totals(session);
+    const service::GraphDemand demand(r.best, req.bandwidth_kbps);
+    service::Resources peer_total;
+    for (const auto& [peer, need] : demand.peers) peer_total += need;
+    double link_kbps_total = 0.0;
+    for (const auto& [link, kbps] : demand.links) link_kbps_total += kbps;
+    EXPECT_EQ(granted.grant_count, r.best_holds.size());
+    for (std::size_t i = 0; i < service::Resources::kTypes; ++i) {
+      EXPECT_NEAR(granted.peer_total.v[i], peer_total.v[i], 1e-9);
+    }
+    EXPECT_NEAR(granted.link_kbps_total, link_kbps_total, 1e-9);
+    scenario_->alloc->release_session(session);
+  }
+}
+
 TEST_F(BcpTest, NonBestHoldsAreReleased) {
   auto req = spider::testing::easy_request(*scenario_);
   ComposeResult r = engine_->compose(req, rng_);
@@ -383,18 +429,6 @@ TEST(HoldKeyRegression, PeerTuplesCollidingUnderOldPackingStayDistinct) {
       << "distinct components must map to distinct holds";
   EXPECT_EQ(holds.at(a), HoldId(1));
   EXPECT_EQ(holds.at(b), HoldId(2));
-}
-
-TEST(HoldKeyRegression, HoldCoverNodeAndEdgeNamespacesAreDisjoint) {
-  // node(n) and edge(0, n) carried identical bits in several old
-  // packings; the kind tag now separates the namespaces.
-  const HoldCoverKey node = HoldCoverKey::node(5);
-  const HoldCoverKey edge = HoldCoverKey::edge(0, 5);
-  EXPECT_FALSE(node == edge);
-  std::unordered_map<HoldCoverKey, HoldId, HoldCoverKeyHash> by_key;
-  by_key.emplace(node, HoldId(1));
-  by_key.emplace(edge, HoldId(2));
-  EXPECT_EQ(by_key.size(), 2u);
 }
 
 }  // namespace

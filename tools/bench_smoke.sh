@@ -5,10 +5,15 @@
 # re-run with --jobs $SPIDER_SMOKE_JOBS (default 4) and their stdout +
 # metrics JSON are diffed byte-for-byte against the serial run (DESIGN.md
 # §5f); fig9's churn drives the overlay's route-tree repair hardest. The
-# bench_scale quick tier (1k/2k peers) runs next; its per-row probe
-# message counts, and the IP nodes the exact worlds' builds settled, are
-# compared exactly against the scale_rows baseline and its
-# BENCH_scale.json lands at $SPIDER_SCALE_JSON_OUT for CI to archive.
+# other nine figure, overhead and ablation benches (fig10, fig11, the
+# overhead comparison and ablations A1-A6) get the same serial vs --jobs
+# byte-diff; no baseline pins their numbers, but a non-zero exit or a
+# diff fails the run (A4 drives BCP's check-only hold branch, A6 the
+# all-or-nothing confirm). The bench_scale quick tier (1k/2k peers) runs
+# next; its per-row probe message counts, and the IP nodes the exact
+# worlds' builds settled, are compared exactly against the scale_rows
+# baseline and its BENCH_scale.json lands at $SPIDER_SCALE_JSON_OUT for
+# CI to archive.
 # A third scale pass re-runs the quick tier with --build-jobs
 # $SPIDER_SMOKE_JOBS (parallel world construction, DESIGN.md §5k) and
 # byte-diffs its stdout against the serial build.
@@ -51,8 +56,21 @@ communities_json="${SPIDER_COMMUNITIES_JSON_OUT:-$out_dir/BENCH_communities.json
 smoke_xl="${SPIDER_SMOKE_XL:-0}"
 scale_xl_json="${SPIDER_SCALE_XL_JSON_OUT:-$out_dir/BENCH_scale_xl.json}"
 
+# The benches no baseline pins that write no metrics file (name:binary).
+unpinned_benches=(
+  fig11:bench_fig11_budget_sweep
+  overhead:bench_overhead_vs_centralized
+  ablation_commutation:bench_ablation_commutation
+  ablation_quota:bench_ablation_quota
+  ablation_backup_policy:bench_ablation_backup_policy
+  ablation_soft_alloc:bench_ablation_soft_alloc
+  ablation_trust:bench_ablation_trust
+  ablation_psi_weights:bench_ablation_psi_weights
+)
+
 for bench in bench_fig8_success_ratio bench_fig9_failure_recovery \
-             bench_scale bench_serve bench_communities; do
+             bench_scale bench_serve bench_communities \
+             bench_fig10_setup_time "${unpinned_benches[@]#*:}"; do
   if [[ ! -x "$build_dir/bench/$bench" ]]; then
     echo "error: $build_dir/bench/$bench not built (cmake --build $build_dir)" >&2
     exit 1
@@ -100,6 +118,10 @@ serial_vs_jobs() {
 
 serial_vs_jobs fig8 bench_fig8_success_ratio fig8.json
 serial_vs_jobs fig9 bench_fig9_failure_recovery fig9.json fig9_lease.json
+serial_vs_jobs fig10 bench_fig10_setup_time fig10.json
+for entry in "${unpinned_benches[@]}"; do
+  serial_vs_jobs "${entry%%:*}" "${entry#*:}"
+done
 
 # Scaling sweep, quick tier: only deterministic columns reach stdout, so
 # the serial and --jobs runs must again match byte-for-byte (modulo the
