@@ -97,7 +97,7 @@ const char* policy_name(core::BackupPolicy policy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, kJobsFlag);
 
   workload::SimScenarioConfig scenario;
   scenario.seed = args.seed;

@@ -80,7 +80,7 @@ WeightRun run_weights(const workload::SimScenarioConfig& scenario_config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, kJobsFlag);
 
   workload::SimScenarioConfig scenario;
   scenario.seed = args.seed;

@@ -19,7 +19,7 @@ using namespace spider;
 using namespace spider::bench;
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, kJobsFlag);
 
   workload::SimScenarioConfig scenario;
   scenario.seed = args.seed;

@@ -156,7 +156,7 @@ TrustRunResult run(const workload::SimScenarioConfig& scenario_config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, kJobsFlag);
 
   workload::SimScenarioConfig scenario;
   scenario.seed = args.seed;

@@ -1,7 +1,8 @@
 // Shared helpers for the figure-reproduction benches: one argument parser
-// (--quick / --full / --seed N / --jobs N / --metrics-out, plus the
-// scaling benches' --json-out / --build-jobs / --xl), table printing and
-// the JSON row writer of the BENCH_*.json artifacts.
+// (--quick / --full / --seed N, plus the optional flags each bench names
+// and honours: --jobs N, --metrics-out PATH, --json-out PATH,
+// --build-jobs N, --xl), table printing and the JSON row writer of the
+// BENCH_*.json artifacts.
 //
 // Figure benches are plain executables (not google-benchmark binaries):
 // each one runs a simulation campaign and prints the same rows/series the
@@ -45,31 +46,49 @@ struct BenchArgs {
   bool xl = false;
 };
 
+/// The optional flags a bench honours, beyond --quick, --full and --seed.
+/// A bench passes the ones it reads to parse_args(), which rejects the
+/// rest.
+enum BenchFlag : unsigned {
+  kJobsFlag = 1u << 0,        ///< --jobs N
+  kMetricsOutFlag = 1u << 1,  ///< --metrics-out PATH
+  kJsonOutFlag = 1u << 2,     ///< --json-out PATH
+  kBuildJobsFlag = 1u << 3,   ///< --build-jobs N
+  kXlFlag = 1u << 4,          ///< --xl
+};
+
 /// Ends the process with exit status 2 after one line on stderr naming
-/// the argument problem and the accepted flags.
-[[noreturn]] inline void usage_error(const char* argv0,
+/// the argument problem and the flags this bench accepts (`flags`).
+[[noreturn]] inline void usage_error(const char* argv0, unsigned flags,
                                      const std::string& problem) {
   const char* slash = std::strrchr(argv0, '/');
   const char* prog = slash != nullptr ? slash + 1 : argv0;
-  std::fprintf(stderr,
-               "%s: %s; usage: %s [--quick | --full] [--seed N] [--jobs N] "
-               "[--metrics-out PATH] [--json-out PATH] [--build-jobs N] "
-               "[--xl]\n",
-               prog, problem.c_str(), prog);
+  std::string usage = "[--quick | --full] [--seed N]";
+  if (flags & kJobsFlag) usage += " [--jobs N]";
+  if (flags & kMetricsOutFlag) usage += " [--metrics-out PATH]";
+  if (flags & kJsonOutFlag) usage += " [--json-out PATH]";
+  if (flags & kBuildJobsFlag) usage += " [--build-jobs N]";
+  if (flags & kXlFlag) usage += " [--xl]";
+  std::fprintf(stderr, "%s: %s; usage: %s %s\n", prog, problem.c_str(), prog,
+               usage.c_str());
   std::exit(2);
 }
 
-/// Parses the shared bench flags. An unknown flag, a flag missing its
-/// value, or a count that is not a non-negative decimal integer is a
-/// usage error (exit status 2), never a silent default.
-inline BenchArgs parse_args(int argc, char** argv,
+/// Parses --quick, --full, --seed and the optional flags in `flags` (a
+/// BenchFlag mask). A flag outside them, a flag missing its value, or a
+/// count that is not a non-negative decimal integer is a usage error
+/// (exit status 2), never a silent default or an ignored flag.
+inline BenchArgs parse_args(int argc, char** argv, unsigned flags,
                             std::string default_json_out = "") {
   BenchArgs args;
   args.json_out = std::move(default_json_out);
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    auto fail = [&](const std::string& problem) {
+      usage_error(argv[0], flags, problem);
+    };
     auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error(argv[0], flag + " needs a value");
+      if (i + 1 >= argc) fail(flag + " needs a value");
       return argv[++i];
     };
     auto number = [&]() -> std::uint64_t {
@@ -79,29 +98,32 @@ inline BenchArgs parse_args(int argc, char** argv,
       const unsigned long long n = std::strtoull(text, &end, 10);
       // strtoull skips blanks and negates "-1"; demand digits only.
       if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
-        usage_error(argv[0], flag + " needs a non-negative integer, not '" +
-                                 text + "'");
+        fail(flag + " needs a non-negative integer, not '" + text + "'");
       }
       return n;
+    };
+    // True if `name` is the flag and this bench honours it.
+    auto is = [&](const char* name, unsigned bit) {
+      return flag == name && (flags & bit) != 0;
     };
     if (flag == "--quick") {
       args.scale = 0;
     } else if (flag == "--full") {
       args.scale = 2;
-    } else if (flag == "--xl") {
-      args.xl = true;
     } else if (flag == "--seed") {
       args.seed = number();
-    } else if (flag == "--jobs") {
+    } else if (is("--xl", kXlFlag)) {
+      args.xl = true;
+    } else if (is("--jobs", kJobsFlag)) {
       args.jobs = std::max<std::size_t>(1, number());
-    } else if (flag == "--build-jobs") {
+    } else if (is("--build-jobs", kBuildJobsFlag)) {
       args.build_jobs = std::max<std::size_t>(1, number());
-    } else if (flag == "--metrics-out") {
+    } else if (is("--metrics-out", kMetricsOutFlag)) {
       args.metrics_out = value();
-    } else if (flag == "--json-out") {
+    } else if (is("--json-out", kJsonOutFlag)) {
       args.json_out = value();
     } else {
-      usage_error(argv[0], "unknown flag " + flag);
+      fail("unknown flag " + flag);
     }
   }
   return args;

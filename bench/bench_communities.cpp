@@ -160,7 +160,9 @@ Row run_row(workload::Scenario& s, const overlay::CommunityMap* map,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv, "BENCH_communities.json");
+  const BenchArgs args =
+      parse_args(argc, argv, kJobsFlag | kJsonOutFlag | kBuildJobsFlag,
+                 "BENCH_communities.json");
 
   const std::vector<std::size_t> peer_counts =
       args.scale == 0 ? std::vector<std::size_t>{1000}

@@ -24,7 +24,7 @@ using namespace spider;
 using namespace spider::bench;
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, kJobsFlag | kMetricsOutFlag);
 
   workload::PlanetLabScenarioConfig scenario;
   scenario.seed = args.seed;

@@ -75,7 +75,7 @@ core::BcpConfig make_bcp_config() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, kJobsFlag);
 
   workload::PlanetLabScenarioConfig scenario;
   scenario.seed = args.seed;

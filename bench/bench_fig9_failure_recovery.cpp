@@ -329,7 +329,7 @@ LeaseResult run_lease_point(const Fig9Config& config, double ttl_ms,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, kMetricsOutFlag);
 
   Fig9Config config;
   config.scenario.seed = args.seed;

@@ -1,11 +1,16 @@
 // Microbenchmarks for the composition path: topology generation, Dijkstra
-// routing, pattern enumeration, one full BCP compose, and the exhaustive
-// optimal compose it is compared against.
+// routing at the IP and overlay layers, pattern enumeration, one full BCP
+// compose, and the exhaustive optimal compose it is compared against.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "core/baselines.hpp"
 #include "core/bcp.hpp"
 #include "net/generator.hpp"
+#include "net/router.hpp"
+#include "overlay/overlay.hpp"
 #include "workload/scenario.hpp"
 
 using namespace spider;
@@ -33,6 +38,32 @@ void BM_Dijkstra(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Dijkstra)->Arg(1000)->Arg(10000);
+
+// One full overlay Dijkstra tree per iteration, from successive sources,
+// on the exact world perfbench's compose_scale builds: 2,000 peers over a
+// 4,000-node power-law IP graph, nearest mesh of degree 6. This is the
+// kernel behind every route() miss, timed through the const column query
+// so no route cache is involved.
+void BM_OverlaySsspColumn(benchmark::State& state) {
+  Rng rng(7);
+  const net::Topology topo = net::power_law(4000, 3, rng);
+  net::Router router(topo);
+  std::vector<net::NodeIdx> peers;
+  for (std::size_t idx : rng.sample_indices(topo.node_count(), 2000)) {
+    peers.push_back(net::NodeIdx(idx));
+  }
+  std::sort(peers.begin(), peers.end());
+  const overlay::OverlayNetwork net = overlay::OverlayNetwork::from_topology(
+      topo, router, std::move(peers), overlay::OverlayKind::kNearestMesh, 6,
+      rng);
+  overlay::PeerId src = 0;
+  for (auto _ : state) {
+    const net::LandmarkTable::Column col = net.sssp_column(src);
+    benchmark::DoNotOptimize(col.delay_ms.data());
+    src = overlay::PeerId((src + 1) % net.peer_count());
+  }
+}
+BENCHMARK(BM_OverlaySsspColumn);
 
 void BM_PatternEnumeration(benchmark::State& state) {
   service::FunctionGraph g = service::make_linear_graph({1, 2, 3, 4, 5});

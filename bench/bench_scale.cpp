@@ -201,7 +201,10 @@ XlBudget xl_budget_for(std::size_t max_peers, std::size_t scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv, "BENCH_scale.json");
+  const BenchArgs args = parse_args(
+      argc, argv,
+      kJobsFlag | kMetricsOutFlag | kJsonOutFlag | kBuildJobsFlag | kXlFlag,
+      "BENCH_scale.json");
 
   const std::vector<std::size_t> peer_counts =
       args.xl ? (args.scale == 2 ? std::vector<std::size_t>{500000, 1000000}

@@ -293,7 +293,9 @@ void write_traffic_counts(std::FILE* jf, const workload::TrafficCounts& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv, "BENCH_serve.json");
+  const BenchArgs args =
+      parse_args(argc, argv, kJobsFlag | kMetricsOutFlag | kJsonOutFlag,
+                 "BENCH_serve.json");
 
   const ServeParams params = params_for(args.scale);
   const std::vector<CellSpec> cells{

@@ -9,9 +9,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -48,6 +49,154 @@ struct ShortestPathTree {
   }
 };
 
+/// Working storage for one search at a time: the frontier's heap, each
+/// node's heap slot, and a node list for the deletion repair. It is clean
+/// between searches (no slot taken, heap and list empty), so a search
+/// never pays O(node_count) to reset it; the slot array only grows the
+/// first time it meets a larger graph.
+class SearchScratch {
+ public:
+  SearchScratch() = default;
+  SearchScratch(const SearchScratch&) = delete;
+  SearchScratch& operator=(const SearchScratch&) = delete;
+
+ private:
+  friend class Frontier;
+  // A heap key packs (delay, node) into one integer that orders the same
+  // way: the delay's bit pattern in the high 64 bits (a non-negative
+  // double's bits order like its value) and the node in the low 32. One
+  // integer compare per child lets the sift pick the least child without
+  // a branch.
+  __extension__ typedef unsigned __int128 Key;
+  static constexpr std::uint32_t kAbsent = std::uint32_t(-1);
+
+  std::vector<std::uint32_t> slot_;  ///< heap index per node, or kAbsent
+  std::vector<Key> heap_;
+  std::vector<std::uint32_t> nodes_;
+  bool in_use_ = false;
+};
+
+/// The calling thread's scratch, which every kernel search and repair on
+/// that thread borrows.
+inline SearchScratch& thread_search_scratch() {
+  thread_local SearchScratch scratch;
+  return scratch;
+}
+
+/// The frontier of one search: an indexed 4-ary min-heap of (delay, node)
+/// with one entry per queued node and decrease-key, popped in the least
+/// (delay, node) order. Delays must be non-negative. It borrows a scratch
+/// for its lifetime and leaves it clean: each pop frees its slot, and the
+/// destructor frees the slots of whatever an early stop or an unwinding
+/// exception left queued. Borrowing a scratch that another frontier holds
+/// (a search nested in a hook of another search on the same thread)
+/// aborts.
+class Frontier {
+ public:
+  Frontier(std::size_t node_count, SearchScratch& scratch)
+      : scratch_(scratch), heap_(scratch.heap_) {
+    SPIDER_REQUIRE_MSG(!scratch.in_use_,
+                       "nested shortest-path search on one scratch");
+    scratch.in_use_ = true;
+    if (scratch.slot_.size() < node_count) {
+      scratch.slot_.resize(node_count, SearchScratch::kAbsent);
+    }
+    slot_ = scratch.slot_.data();
+  }
+  ~Frontier() {
+    for (const Key k : heap_) slot_[node_of(k)] = SearchScratch::kAbsent;
+    heap_.clear();
+    scratch_.nodes_.clear();
+    scratch_.in_use_ = false;
+  }
+  Frontier(const Frontier&) = delete;
+  Frontier& operator=(const Frontier&) = delete;
+
+  bool empty() const { return heap_.empty(); }
+
+  /// Queues `v` at `delay_ms`, or lowers its queued delay to `delay_ms`.
+  void push(std::uint32_t v, double delay_ms) {
+    SPIDER_DCHECK(!std::signbit(delay_ms));
+    const Key k = key(delay_ms, v);
+    std::size_t i = slot_[v];
+    if (i == SearchScratch::kAbsent) {
+      i = heap_.size();
+      heap_.emplace_back();
+    } else {
+      SPIDER_DCHECK(k < heap_[i]);
+    }
+    sift_up(i, k);
+  }
+
+  /// Removes and returns the least (delay, node).
+  std::pair<double, std::uint32_t> pop() {
+    SPIDER_DCHECK(!heap_.empty());
+    const Key top = heap_.front();
+    slot_[node_of(top)] = SearchScratch::kAbsent;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+    return {std::bit_cast<double>(std::uint64_t(top >> 32)), node_of(top)};
+  }
+
+  /// Calls `fn(node)` for every queued node, in heap order.
+  template <typename Fn>
+  void for_each_queued(Fn&& fn) const {
+    for (const Key k : heap_) fn(node_of(k));
+  }
+
+  /// A node list for the frontier's holder: empty when the frontier is
+  /// made, cleared when it ends.
+  std::vector<std::uint32_t>& nodes() { return scratch_.nodes_; }
+
+ private:
+  using Key = SearchScratch::Key;
+  static constexpr std::size_t kArity = 4;
+
+  static Key key(double delay_ms, std::uint32_t node) {
+    return Key(std::bit_cast<std::uint64_t>(delay_ms)) << 32 | node;
+  }
+  static std::uint32_t node_of(Key k) { return std::uint32_t(k); }
+
+  void place(std::size_t i, Key k) {
+    heap_[i] = k;
+    slot_[node_of(k)] = std::uint32_t(i);
+  }
+  void sift_up(std::size_t i, Key k) {
+    while (i > 0) {
+      const std::size_t up = (i - 1) / kArity;
+      if (!(k < heap_[up])) break;
+      place(i, heap_[up]);
+      i = up;
+    }
+    place(i, k);
+  }
+  void sift_down(std::size_t i, Key k) {
+    const std::size_t size = heap_.size();
+    for (;;) {
+      const std::size_t first = kArity * i + 1;
+      if (first >= size) break;
+      const std::size_t end = std::min(first + kArity, size);
+      std::size_t least = first;
+      Key least_key = heap_[first];
+      for (std::size_t c = first + 1; c < end; ++c) {
+        const Key child = heap_[c];
+        const bool lower = child < least_key;
+        least = lower ? c : least;
+        least_key = lower ? child : least_key;
+      }
+      if (!(least_key < k)) break;
+      place(i, least_key);
+      i = least;
+    }
+    place(i, k);
+  }
+
+  SearchScratch& scratch_;
+  std::vector<Key>& heap_;
+  std::uint32_t* slot_ = nullptr;
+};
+
 /// Default on-improve hook: carries nothing along the tree.
 struct NoImproveHook {
   template <typename Edge>
@@ -59,15 +208,17 @@ struct NeverStop {
   bool operator()(std::uint32_t, double) const { return false; }
 };
 
-/// Dijkstra from `source`. `for_each_edge(u, relax)` calls
-/// `relax(v, edge, delay_ms)` for each usable edge out of `u`, in a fixed
-/// order. `on_improve(u, v, edge)` runs each time `v`'s distance improves
-/// through `u`, after its distance and parent are set, so callers can carry
-/// per-path values (bottleneck bandwidth, hop count) along the same tree.
-/// `stop(u, delay_ms)` runs once per node as it settles, in settle order
-/// and before its edges relax; returning true ends the search with `u`
-/// settled. Every node the search reached but had not settled then reads
-/// unreached again, so a stopped tree never reports a tentative distance.
+/// Dijkstra from `source` on the calling thread's scratch.
+/// `for_each_edge(u, relax)` calls `relax(v, edge, delay_ms)` for each
+/// usable edge out of `u`, in a fixed order. `on_improve(u, v, edge)` runs
+/// each time `v`'s distance improves through `u`, after its distance and
+/// parent are set, so callers can carry per-path values (bottleneck
+/// bandwidth, hop count) along the same tree. `stop(u, delay_ms)` runs
+/// once per node as it settles, in settle order and before its edges
+/// relax; returning true ends the search with `u` settled. Every node the
+/// search reached but had not settled then reads unreached again, so a
+/// stopped tree never reports a tentative distance. No hook may start
+/// another search on the same thread.
 template <typename Edge, typename ForEachEdge,
           typename OnImprove = NoImproveHook, typename Stop = NeverStop>
 ShortestPathTree<Edge> shortest_path_tree(std::size_t node_count,
@@ -77,28 +228,18 @@ ShortestPathTree<Edge> shortest_path_tree(std::size_t node_count,
                                           Stop&& stop = {}) {
   SPIDER_REQUIRE(source < node_count);
   ShortestPathTree<Edge> tree(source, node_count, no_edge);
-  using Item = std::pair<double, std::uint32_t>;  // (delay, node)
-  // A binary min-heap, popped in the least (delay, node) order.
-  std::vector<Item> frontier;
-  const auto later = std::greater<Item>();
+  Frontier frontier(node_count, thread_search_scratch());
   tree.dist[source] = 0.0;
-  frontier.emplace_back(0.0, source);
+  frontier.push(source, 0.0);
   while (!frontier.empty()) {
-    std::pop_heap(frontier.begin(), frontier.end(), later);
-    const auto [d, u] = frontier.back();
-    frontier.pop_back();
-    if (d > tree.dist[u]) continue;  // stale entry
+    const auto [d, u] = frontier.pop();
     ++tree.settled;
     if (stop(u, d)) {
-      // The one live entry of a reached, unsettled node carries its
-      // current distance: settled nodes have none left, and older entries
-      // are stale.
-      for (const auto& [fd, v] : frontier) {
-        if (fd == tree.dist[v]) {
-          tree.dist[v] = std::numeric_limits<double>::infinity();
-          tree.parent[v] = no_edge;
-        }
-      }
+      // The queued nodes are exactly the reached, unsettled ones.
+      frontier.for_each_queued([&](std::uint32_t v) {
+        tree.dist[v] = std::numeric_limits<double>::infinity();
+        tree.parent[v] = no_edge;
+      });
       break;
     }
     for_each_edge(u, [&](std::uint32_t v, Edge edge, double delay_ms) {
@@ -107,8 +248,7 @@ ShortestPathTree<Edge> shortest_path_tree(std::size_t node_count,
         tree.dist[v] = nd;
         tree.parent[v] = edge;
         on_improve(u, v, edge);
-        frontier.emplace_back(nd, v);
-        std::push_heap(frontier.begin(), frontier.end(), later);
+        frontier.push(v, nd);
       }
     });
   }
@@ -142,13 +282,6 @@ ShortestPathTree<Edge> shortest_path_tree(std::size_t node_count,
 //   repaired one, or, for a dead source, a tree in which nothing is
 //   reachable.
 namespace detail {
-
-using Frontier = std::vector<std::pair<double, std::uint32_t>>;
-
-inline void push(Frontier& frontier, double d, std::uint32_t v) {
-  frontier.emplace_back(d, v);
-  std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
-}
 
 /// Settles `y` on its best offer from its neighbours: the least delay, an
 /// equal one going to the least (dist[u], u). Returns false, leaving `y`
@@ -196,10 +329,8 @@ std::size_t settle(ShortestPathTree<Edge>& tree, Frontier& frontier,
                    ForEachEdge& for_each_edge) {
   std::size_t settled = 0;
   while (!frontier.empty()) {
-    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
-    const auto [d, u] = frontier.back();
-    frontier.pop_back();
-    if (d > tree.dist[u]) continue;  // stale entry
+    const auto [d, u] = frontier.pop();
+    SPIDER_DCHECK(d == tree.dist[u]);
     ++settled;
     for_each_edge(u, [&](std::uint32_t z, Edge edge, double delay_ms) {
       const double nd = d + delay_ms;
@@ -207,7 +338,7 @@ std::size_t settle(ShortestPathTree<Edge>& tree, Frontier& frontier,
         if (!tree.reachable(z)) ++tree.settled;
         tree.dist[z] = nd;
         tree.parent[z] = edge;
-        push(frontier, nd, z);
+        frontier.push(z, nd);
       } else if (nd == tree.dist[z] && wins_tie(tree, z, d, u, for_each_edge)) {
         tree.parent[z] = edge;
       }
@@ -226,14 +357,17 @@ std::size_t settle(ShortestPathTree<Edge>& tree, Frontier& frontier,
 /// subtree is found by following the children whose parent edge leads
 /// back to their parent; each subtree node is seeded from its neighbours
 /// outside it, and the subtree is settled again from those seeds. A node
-/// nothing reaches any more reads unreachable.
+/// nothing reaches any more reads unreachable. Runs on the calling
+/// thread's scratch, as the kernel does.
 template <typename Edge, typename ForEachEdge>
 std::size_t repair_after_deletion(ShortestPathTree<Edge>& tree,
                                   std::uint32_t v, Edge no_edge,
                                   ForEachEdge&& for_each_edge) {
   SPIDER_REQUIRE(v < tree.dist.size());
   if (!tree.reachable(v)) return 0;
-  std::vector<std::uint32_t> subtree{v};
+  Frontier frontier(tree.dist.size(), thread_search_scratch());
+  std::vector<std::uint32_t>& subtree = frontier.nodes();
+  subtree.push_back(v);
   for (std::size_t i = 0; i < subtree.size(); ++i) {
     for_each_edge(subtree[i], [&](std::uint32_t w, Edge edge, double) {
       if (tree.parent[w] == edge) subtree.push_back(w);
@@ -244,10 +378,9 @@ std::size_t repair_after_deletion(ShortestPathTree<Edge>& tree,
     tree.parent[x] = no_edge;
   }
   tree.settled -= subtree.size();
-  detail::Frontier frontier;
   for (std::size_t i = 1; i < subtree.size(); ++i) {
     if (detail::take_best_offer(tree, subtree[i], for_each_edge)) {
-      detail::push(frontier, tree.dist[subtree[i]], subtree[i]);
+      frontier.push(subtree[i], tree.dist[subtree[i]]);
     }
   }
   return detail::settle(tree, frontier, for_each_edge);
@@ -270,8 +403,8 @@ std::size_t repair_after_insertion(ShortestPathTree<Edge>& tree,
   } else if (!detail::take_best_offer(tree, v, for_each_edge)) {
     return 0;
   }
-  detail::Frontier frontier;
-  detail::push(frontier, tree.dist[v], v);
+  Frontier frontier(tree.dist.size(), thread_search_scratch());
+  frontier.push(v, tree.dist[v]);
   return detail::settle(tree, frontier, for_each_edge);
 }
 

@@ -35,8 +35,8 @@ Topology::Topology(std::size_t node_count, std::vector<Link> links)
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (LinkIdx li = 0; li < links_.size(); ++li) {
     const Link& l = links_[li];
-    adj_[cursor[l.a]++] = Adjacency{l.b, li};
-    adj_[cursor[l.b]++] = Adjacency{l.a, li};
+    adj_[cursor[l.a]++] = Adjacency{l.b, li, l.delay_ms};
+    adj_[cursor[l.b]++] = Adjacency{l.a, li, l.delay_ms};
   }
 }
 

@@ -41,10 +41,12 @@ struct Link {
   }
 };
 
-/// Half-edge in a node's adjacency list.
+/// Half-edge in a node's adjacency list, with its link's delay copied in
+/// so an edge visitor reads neighbour, link and delay from one array.
 struct Adjacency {
   NodeIdx neighbor = kInvalidNode;
   LinkIdx link = kInvalidLink;
+  double delay_ms = 0.0;  ///< links_[link].delay_ms
 };
 
 /// Immutable undirected graph with per-link delay and bandwidth.
@@ -73,7 +75,7 @@ class Topology {
         node_count_, source, kInvalidLink,
         [this](NodeIdx u, auto&& relax) {
           for (const Adjacency& adj : neighbors(u)) {
-            relax(adj.neighbor, adj.link, links_[adj.link].delay_ms);
+            relax(adj.neighbor, adj.link, adj.delay_ms);
           }
         },
         std::forward<OnImprove>(on_improve), std::forward<Stop>(stop));

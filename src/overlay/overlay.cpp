@@ -354,8 +354,8 @@ void OverlayNetwork::build_adjacency() {
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (OverlayLinkId li = 0; li < links_.size(); ++li) {
     const OverlayLink& l = links_[li];
-    adj_[cursor[l.a]++] = OverlayAdjacency{l.b, li};
-    adj_[cursor[l.b]++] = OverlayAdjacency{l.a, li};
+    adj_[cursor[l.a]++] = OverlayAdjacency{l.b, li, l.delay_ms};
+    adj_[cursor[l.b]++] = OverlayAdjacency{l.a, li, l.delay_ms};
   }
   alive_.assign(n, true);
   live_count_ = n;
@@ -382,7 +382,7 @@ bool OverlayNetwork::are_neighbors(PeerId a, PeerId b,
                                    double* out_delay) const {
   for (const OverlayAdjacency& adj : neighbors(a)) {
     if (adj.neighbor == b) {
-      if (out_delay != nullptr) *out_delay = links_[adj.link].delay_ms;
+      if (out_delay != nullptr) *out_delay = adj.delay_ms;
       return true;
     }
   }
@@ -394,7 +394,7 @@ double OverlayNetwork::mean_neighbor_delay(PeerId p) const {
   std::size_t count = 0;
   for (const OverlayAdjacency& adj : neighbors(p)) {
     if (!alive_[adj.neighbor]) continue;
-    sum += links_[adj.link].delay_ms;
+    sum += adj.delay_ms;
     ++count;
   }
   return count == 0 ? 0.0 : sum / double(count);

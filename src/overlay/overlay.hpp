@@ -73,9 +73,12 @@ struct OverlayLink {
   PeerId other(PeerId p) const { return p == a ? b : a; }
 };
 
+/// Half-edge in a peer's adjacency list, with its link's delay copied in
+/// so the route-tree edge visitor reads one contiguous array.
 struct OverlayAdjacency {
   PeerId neighbor = kInvalidPeer;
   OverlayLinkId link = kInvalidOverlayLink;
+  double delay_ms = 0.0;  ///< links_[link].delay_ms
 };
 
 /// An overlay path: ordered link list plus aggregate metrics.
@@ -267,7 +270,7 @@ class OverlayNetwork {
     return [this](PeerId u, auto&& relax) {
       for (const OverlayAdjacency& adj : neighbors(u)) {
         if (!alive_[adj.neighbor]) continue;
-        relax(adj.neighbor, adj.link, links_[adj.link].delay_ms);
+        relax(adj.neighbor, adj.link, adj.delay_ms);
       }
     };
   }

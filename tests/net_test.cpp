@@ -4,11 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "net/generator.hpp"
 #include "net/planetlab.hpp"
 #include "net/router.hpp"
+#include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 
@@ -249,6 +257,200 @@ TEST(ShortestPathKernel, StoppedSearchSettlesAPrefixOfTheFullRun) {
                                                     {0, 1, 1.0, 100.0},
                                                     {2, 3, 1.0, 100.0},
                                                     {1, 3, 1.0, 100.0}}));
+}
+
+// The kernel as it ran on a lazy-deletion binary heap, before the indexed
+// frontier: a node is pushed again on each improvement, and an entry whose
+// delay exceeds the node's current one is skipped as stale. It is the
+// oracle for the indexed frontier, which must reproduce it bit for bit.
+template <typename Edge, typename ForEachEdge, typename OnImprove,
+          typename Stop>
+ShortestPathTree<Edge> lazy_heap_tree(std::size_t node_count,
+                                      std::uint32_t source, Edge no_edge,
+                                      ForEachEdge&& for_each_edge,
+                                      OnImprove&& on_improve, Stop&& stop) {
+  ShortestPathTree<Edge> tree(source, node_count, no_edge);
+  using Item = std::pair<double, std::uint32_t>;  // (delay, node)
+  std::vector<Item> frontier;
+  const auto later = std::greater<Item>();
+  tree.dist[source] = 0.0;
+  frontier.emplace_back(0.0, source);
+  while (!frontier.empty()) {
+    std::pop_heap(frontier.begin(), frontier.end(), later);
+    const auto [d, u] = frontier.back();
+    frontier.pop_back();
+    if (d > tree.dist[u]) continue;  // stale entry
+    ++tree.settled;
+    if (stop(u, d)) {
+      for (const auto& [fd, v] : frontier) {
+        if (fd == tree.dist[v]) {
+          tree.dist[v] = std::numeric_limits<double>::infinity();
+          tree.parent[v] = no_edge;
+        }
+      }
+      break;
+    }
+    for_each_edge(u, [&](std::uint32_t v, Edge edge, double delay_ms) {
+      const double nd = d + delay_ms;
+      if (nd < tree.dist[v]) {
+        tree.dist[v] = nd;
+        tree.parent[v] = edge;
+        on_improve(u, v, edge);
+        frontier.emplace_back(nd, v);
+        std::push_heap(frontier.begin(), frontier.end(), later);
+      }
+    });
+  }
+  return tree;
+}
+
+// One search as the tests observe it: the tree, every on_improve call in
+// order, and the settle order the stop hook saw.
+struct ObservedSearch {
+  ShortestPathTree<LinkIdx> tree{0, 0, kInvalidLink};
+  std::vector<std::tuple<NodeIdx, NodeIdx, LinkIdx>> improves;
+  std::vector<std::pair<NodeIdx, double>> settles;
+};
+
+// Runs the kernel (through Topology's edge visitor) or the lazy-heap
+// oracle (reading each delay from the link table) from `src`, stopping
+// once `cut` nodes are settled (0: never).
+ObservedSearch observe(const Topology& topo, NodeIdx src, std::size_t cut,
+                       bool oracle) {
+  ObservedSearch run;
+  auto on_improve = [&](NodeIdx u, NodeIdx v, LinkIdx link) {
+    run.improves.emplace_back(u, v, link);
+  };
+  auto stop = [&](NodeIdx u, double d) {
+    run.settles.emplace_back(u, d);
+    return run.settles.size() == cut;
+  };
+  if (!oracle) {
+    run.tree = topo.min_delay_tree(src, on_improve, stop);
+    return run;
+  }
+  run.tree = lazy_heap_tree(
+      topo.node_count(), src, kInvalidLink,
+      [&](NodeIdx u, auto&& relax) {
+        for (const Adjacency& adj : topo.neighbors(u)) {
+          relax(adj.neighbor, adj.link, topo.link(adj.link).delay_ms);
+        }
+      },
+      on_improve, stop);
+  return run;
+}
+
+void expect_same_search(const ObservedSearch& got,
+                        const ObservedSearch& want) {
+  ASSERT_EQ(got.tree.dist.size(), want.tree.dist.size());
+  for (std::size_t v = 0; v < got.tree.dist.size(); ++v) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.tree.dist[v]),
+              std::bit_cast<std::uint64_t>(want.tree.dist[v]))
+        << "node " << v;
+  }
+  EXPECT_EQ(got.tree.parent, want.tree.parent);
+  EXPECT_EQ(got.tree.settled, want.tree.settled);
+  EXPECT_EQ(got.improves, want.improves);
+  EXPECT_EQ(got.settles, want.settles);
+}
+
+// The same graph with each link's delay replaced by delay_of(index, delay).
+template <typename DelayOf>
+Topology with_delays(const Topology& topo, DelayOf&& delay_of) {
+  std::vector<Link> links(topo.links().begin(), topo.links().end());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i].delay_ms = delay_of(i, links[i].delay_ms);
+  }
+  return Topology(topo.node_count(), std::move(links));
+}
+
+// Every source's full search, and every seventh source's searches cut
+// short at several prefix lengths, against the lazy-heap oracle.
+TEST(ShortestPathKernel, IndexedFrontierMatchesLazyHeapReference) {
+  Rng rng(23);
+  std::vector<Topology> graphs;
+  graphs.push_back(power_law(300, 2, rng));
+  graphs.push_back(waxman(300, 0.4, 0.2, rng));
+  graphs.push_back(random_graph(200, 400, rng));
+  const std::size_t generated = graphs.size();
+  for (std::size_t g = 0; g < generated; ++g) {
+    // Small integer delays force equal-delay ties; zero delays let a node
+    // settle at its parent's delay.
+    graphs.push_back(with_delays(
+        graphs[g], [](std::size_t i, double) { return double(1 + i % 3); }));
+    graphs.push_back(with_delays(graphs[g], [](std::size_t i, double d) {
+      return i % 4 == 0 ? 0.0 : d;
+    }));
+    graphs.push_back(with_delays(
+        graphs[g], [](std::size_t i, double) { return double(i % 3); }));
+  }
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const Topology& topo = graphs[g];
+    const std::size_t n = topo.node_count();
+    for (NodeIdx src = 0; src < n; ++src) {
+      SCOPED_TRACE(::testing::Message() << "graph " << g << " source " << src);
+      expect_same_search(observe(topo, src, 0, false),
+                         observe(topo, src, 0, true));
+      if (HasFatalFailure()) return;
+      if (src % 7 != 0) continue;
+      for (const std::size_t cut : {std::size_t(1), std::size_t(2), n / 3,
+                                    n / 2, n - 1}) {
+        SCOPED_TRACE(::testing::Message() << "cut " << cut);
+        expect_same_search(observe(topo, src, cut, false),
+                           observe(topo, src, cut, true));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// A search started from a hook of another search on the same thread would
+// share its frontier scratch, so it aborts instead of corrupting it.
+TEST(ShortestPathKernel, NestedSearchOnOneThreadAborts) {
+  const Topology topo = tiny_line();
+  EXPECT_DEATH(topo.min_delay_tree(0, NoImproveHook{},
+                                   [&](NodeIdx, double) {
+                                     topo.min_delay_tree(1);
+                                     return false;
+                                   }),
+               "nested shortest-path search");
+}
+
+// A search cut short by its stop hook or by an exception leaves the
+// thread's scratch clean: the next search on it matches the oracle.
+TEST(ShortestPathKernel, StoppedAndUnwoundSearchesLeaveTheScratchClean) {
+  Rng rng(29);
+  const Topology topo = power_law(300, 2, rng);
+  const ObservedSearch want = observe(topo, 5, 0, true);
+  observe(topo, 0, 100, false);
+  expect_same_search(observe(topo, 5, 0, false), want);
+  std::size_t settles = 0;
+  EXPECT_THROW(topo.min_delay_tree(0, NoImproveHook{},
+                                   [&](NodeIdx, double) {
+                                     if (++settles == 100) {
+                                       throw std::runtime_error("unwind");
+                                     }
+                                     return false;
+                                   }),
+               std::runtime_error);
+  expect_same_search(observe(topo, 5, 0, false), want);
+
+  // A caller-owned scratch follows the same rules.
+  SearchScratch scratch;
+  {
+    Frontier frontier(4, scratch);
+    frontier.push(3, 2.0);
+    frontier.push(1, 2.0);
+    frontier.push(2, 1.0);
+    frontier.push(3, 0.5);  // decrease-key
+    EXPECT_EQ(frontier.pop(), (std::pair<double, std::uint32_t>(0.5, 3)));
+    EXPECT_EQ(frontier.pop(), (std::pair<double, std::uint32_t>(1.0, 2)));
+  }
+  Frontier frontier(4, scratch);
+  EXPECT_TRUE(frontier.empty());
+  frontier.push(1, 7.0);  // node 1 was left queued above
+  EXPECT_EQ(frontier.pop(), (std::pair<double, std::uint32_t>(7.0, 1)));
+  EXPECT_TRUE(frontier.empty());
 }
 
 TEST(Router, SearchesStayOutOfTheCacheAndCountOnce) {

@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
 # Reduced-scale benchmark smoke test: run fig8 + fig9 in --quick mode,
 # export their metrics and compare key ratios against the checked-in
-# expectations in bench/baselines.json. fig8 and fig9 are additionally
-# re-run with --jobs $SPIDER_SMOKE_JOBS (default 4) and their stdout +
-# metrics JSON are diffed byte-for-byte against the serial run (DESIGN.md
-# §5f); fig9's churn drives the overlay's route-tree repair hardest. The
-# other nine figure, overhead and ablation benches (fig10, fig11, the
-# overhead comparison and ablations A1-A6) get the same serial vs --jobs
-# byte-diff; no baseline pins their numbers, but a non-zero exit or a
-# diff fails the run (A4 drives BCP's check-only hold branch, A6 the
-# all-or-nothing confirm). The bench_scale quick tier (1k/2k peers) runs
-# next; its per-row probe message counts, and the IP nodes the exact
-# worlds' builds settled, are compared exactly against the scale_rows
-# baseline and its BENCH_scale.json lands at $SPIDER_SCALE_JSON_OUT for
-# CI to archive.
+# expectations in bench/baselines.json. fig8 is additionally re-run with
+# --jobs $SPIDER_SMOKE_JOBS (default 4) and its stdout + metrics JSON are
+# diffed byte-for-byte against the serial run (DESIGN.md §5f); fig9, which
+# runs its campaign serially and takes no --jobs, is re-run serially and
+# diffed the same way (its churn drives the overlay's route-tree repair
+# hardest). The other nine figure, overhead and ablation benches (fig10,
+# fig11, the overhead comparison and ablations A1-A6) get the serial vs
+# --jobs byte-diff; no baseline pins their numbers, but a non-zero exit or
+# a diff fails the run (A4 drives BCP's check-only hold branch, A6 the
+# all-or-nothing confirm). Only fig8, fig9 and fig10 get --metrics-out,
+# since each bench rejects a flag it does not honour. The bench_scale
+# quick tier (1k/2k peers) runs next; its per-row probe message counts,
+# and the IP nodes the exact worlds' builds settled, are compared exactly
+# against the scale_rows baseline and its BENCH_scale.json lands at
+# $SPIDER_SCALE_JSON_OUT for CI to archive.
 # A third scale pass re-runs the quick tier with --build-jobs
 # $SPIDER_SMOKE_JOBS (parallel world construction, DESIGN.md §5k) and
 # byte-diffs its stdout against the serial build.
@@ -77,50 +79,62 @@ for bench in bench_fig8_success_ratio bench_fig9_failure_recovery \
   fi
 done
 
-# The serial and --jobs passes of a figure bench run from their own
-# working directories with the same relative --metrics-out path, so their
-# stdout (which echoes the metrics path) can be diffed byte-for-byte; so is
-# every metrics file the bench writes. The serial files are then copied to
-# $out_dir for the ratio checks below.
-mkdir -p "$out_dir/serial" "$out_dir/jobs"
-serial_vs_jobs() {
-  local fig=$1 bench=$2
-  shift 2
+# The two passes of a figure bench run from their own working directories
+# with the same relative --metrics-out path, so their stdout (which echoes
+# the metrics path) can be diffed byte-for-byte; so is every metrics file
+# the bench writes. The first pass's files are then copied to $out_dir for
+# the ratio checks below.
+mkdir -p "$out_dir/first" "$out_dir/second"
+# paired_runs <fig> <bench> <jobs> [metrics...] runs <bench> --quick
+# --seed 42 serially, then again with --jobs <jobs> (empty: serially
+# again), and byte-diffs the two. Only a bench that lists the metrics
+# files it writes gets --metrics-out.
+paired_runs() {
+  local fig=$1 bench=$2 jobs=$3
+  shift 3
+  local label="serial repeat" second=() metrics_flag=()
+  if [[ -n $jobs ]]; then
+    label="--jobs $jobs"
+    second=(--jobs "$jobs")
+  fi
+  if (($# > 0)); then
+    metrics_flag=(--metrics-out "$fig.json")
+  fi
   echo "== $fig (quick) =="
-  local serial_start=$SECONDS
-  (cd "$out_dir/serial" && "$build_dir/bench/$bench" \
-    --quick --seed 42 --metrics-out "$fig.json" > "$fig.out")
-  local serial_secs=$((SECONDS - serial_start))
-  tail -n 3 "$out_dir/serial/$fig.out"
+  local first_start=$SECONDS
+  (cd "$out_dir/first" && "$build_dir/bench/$bench" \
+    --quick --seed 42 ${metrics_flag[@]+"${metrics_flag[@]}"} > "$fig.out")
+  local first_secs=$((SECONDS - first_start))
+  tail -n 3 "$out_dir/first/$fig.out"
 
-  echo "== $fig (quick, --jobs $smoke_jobs) =="
-  local jobs_start=$SECONDS
-  (cd "$out_dir/jobs" && "$build_dir/bench/$bench" \
-    --quick --seed 42 --jobs "$smoke_jobs" \
-    --metrics-out "$fig.json" > "$fig.out")
-  local jobs_secs=$((SECONDS - jobs_start))
-  if ! diff -u "$out_dir/serial/$fig.out" "$out_dir/jobs/$fig.out"; then
-    echo "FAIL: $fig stdout differs between --jobs 1 and --jobs $smoke_jobs" >&2
+  echo "== $fig (quick, $label) =="
+  local second_start=$SECONDS
+  (cd "$out_dir/second" && "$build_dir/bench/$bench" \
+    --quick --seed 42 ${second[@]+"${second[@]}"} \
+    ${metrics_flag[@]+"${metrics_flag[@]}"} > "$fig.out")
+  local second_secs=$((SECONDS - second_start))
+  if ! diff -u "$out_dir/first/$fig.out" "$out_dir/second/$fig.out"; then
+    echo "FAIL: $fig stdout differs between the serial run and $label" >&2
     exit 1
   fi
   local metrics
   for metrics in "$@"; do
-    if ! cmp -s "$out_dir/serial/$metrics" "$out_dir/jobs/$metrics"; then
-      echo "FAIL: $fig metrics JSON $metrics differs between --jobs 1 and" \
-           "--jobs $smoke_jobs" >&2
+    if ! cmp -s "$out_dir/first/$metrics" "$out_dir/second/$metrics"; then
+      echo "FAIL: $fig metrics JSON $metrics differs between the serial" \
+           "run and $label" >&2
       exit 1
     fi
-    cp "$out_dir/serial/$metrics" "$out_dir/$metrics"
+    cp "$out_dir/first/$metrics" "$out_dir/$metrics"
   done
   echo "ok   stdout and metrics byte-identical to serial" \
-       "(serial ${serial_secs}s, --jobs $smoke_jobs ${jobs_secs}s)"
+       "(serial ${first_secs}s, $label ${second_secs}s)"
 }
 
-serial_vs_jobs fig8 bench_fig8_success_ratio fig8.json
-serial_vs_jobs fig9 bench_fig9_failure_recovery fig9.json fig9_lease.json
-serial_vs_jobs fig10 bench_fig10_setup_time fig10.json
+paired_runs fig8 bench_fig8_success_ratio "$smoke_jobs" fig8.json
+paired_runs fig9 bench_fig9_failure_recovery "" fig9.json fig9_lease.json
+paired_runs fig10 bench_fig10_setup_time "$smoke_jobs" fig10.json
 for entry in "${unpinned_benches[@]}"; do
-  serial_vs_jobs "${entry%%:*}" "${entry#*:}"
+  paired_runs "${entry%%:*}" "${entry#*:}" "$smoke_jobs"
 done
 
 # Scaling sweep, quick tier: only deterministic columns reach stdout, so
